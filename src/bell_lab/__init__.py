@@ -1,7 +1,7 @@
 """Monte Carlo laboratory for finite-sample Bell-inequality statistics."""
 
-from .core import (MINUS, NO_COUNT, OUTCOMES, PLUS, PairedTrial, RngStream,
-                   StationEvent, tabulate, wrap_angle)
+from .core import (MINUS, NO_COUNT, OUTCOMES, PLUS, Events, PairedTrial,
+                   RngStream, StationEvent, Trials, tabulate, wrap_angle)
 from .sources import (AngleJitter, BallVariant, ContextualParams,
                       InstructionDist, Spreadsheet4, contextual_batch,
                       generate_cfd_spreadsheet, generate_tennis_balls,

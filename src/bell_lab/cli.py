@@ -26,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bellgame, estimators, pairing, randi, sources, stats
-from .core import (PairedTrial, RngStream, StationEvent, read_events,
-                   read_trials, write_events, write_trials)
+from .core import (Events, RngStream, Trials, read_events, read_trials,
+                   write_events, write_trials)
 
 CONFIG_ERROR = 2
 UNDEFINED_STAT = 3
@@ -127,6 +127,11 @@ def _csv_writer(header, rows):
     return write
 
 
+def _fixed_settings(label_a: int, label_b: int, a, b) -> Trials:
+    """Trials from outcome columns recorded at one setting per side."""
+    return Trials(np.full(len(a), label_a), np.full(len(b), label_b), a, b)
+
+
 def _parse_labels(value, name: str) -> tuple:
     if isinstance(value, (tuple, list)):
         parts = value
@@ -176,19 +181,15 @@ def cmd_simulate(args) -> int:
         label_a, label_b = args.label_a, args.label_b
     else:
         params = sources.ContextualParams(gamma=args.gamma, tau0=args.tau0)
-        try:
-            a, b = sources.contextual_batch(args.x, args.y, n, params, rng)
-        except IndexError:
-            raise _config_error("contextual setting labels are 0 or 1")
+        a, b = sources.contextual_batch(args.x, args.y, n, params, rng)
         label_a, label_b = args.x, args.y
 
-    events_a = [StationEvent(i, label_a, int(v)) for i, v in enumerate(a)]
-    events_b = [StationEvent(i, label_b, int(v)) for i, v in enumerate(b)]
-    corr, n_used = estimators.correlation_from_arrays(a, b)
-    results = {"correlation": corr, "n_coincident": n_used,
+    trials = _fixed_settings(label_a, label_b, a, b)
+    events_a = Events(np.arange(n), trials.setting_a, trials.a)
+    events_b = Events(np.arange(n), trials.setting_b, trials.b)
+    results = {"correlation": estimators.correlation(trials),
+               "n_coincident": int(trials.coincident.sum()),
                "mean_a": float(np.mean(a)), "mean_b": float(np.mean(b))}
-    trials = [PairedTrial(label_a, label_b, int(u), int(v))
-              for u, v in zip(a, b)]
     _emit(args, {"n": n}, results, extra_files=(
         ("events_a.csv", lambda p: write_events(p, events_a)),
         ("events_b.csv", lambda p: write_events(p, events_b)),
@@ -217,20 +218,17 @@ def cmd_pair(args) -> int:
     try:
         events_a = read_events(args.events_a)
         events_b = read_events(args.events_b)
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise _config_error(f"reading events: {exc}")
     kind, param = _parse_pairing(args.pairing)
-    try:
-        if kind == "systematic":
-            trials = pairing.pair_systematic(events_a, events_b, param)
-        elif kind == "random":
-            rng = _stream_of(args).generator()
-            trials = pairing.pair_random(events_a, events_b, param, rng)
-        else:
-            trials = pairing.pair_time_window(events_a, events_b, param)
-    except ValueError as exc:
-        raise _config_error(str(exc))
-    n_coinc = sum(1 for t in trials if t.coincident)
+    if kind == "systematic":
+        trials = pairing.pair_systematic(events_a, events_b, param)
+    elif kind == "random":
+        rng = _stream_of(args).generator()
+        trials = pairing.pair_random(events_a, events_b, param, rng)
+    else:
+        trials = pairing.pair_time_window(events_a, events_b, param)
+    n_coinc = int(trials.coincident.sum())
     _emit(args,
           {"n_events_a": len(events_a), "n_events_b": len(events_b),
            "n_trials": len(trials)},
@@ -245,7 +243,7 @@ def cmd_pair(args) -> int:
 def cmd_estimate(args) -> int:
     try:
         trials = read_trials(args.input)
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise _config_error(f"reading trials: {exc}")
     coincident_only = not args.include_no_counts
     a_labels = _parse_labels(args.a_labels, "--a-labels")
@@ -301,11 +299,8 @@ def _gill_dist(args) -> sources.InstructionDist:
     if kind != "point-mass":
         raise _config_error("--generator must be uniform, positive-boundary "
                             "or point-mass:A,A',B,B'")
-    try:
-        atom = tuple(int(v) for v in (param or "1,1,1,1").split(","))
-        return sources.InstructionDist.point_mass(atom)
-    except ValueError as exc:
-        raise _config_error(str(exc))
+    atom = tuple(int(v) for v in (param or "1,1,1,1").split(","))
+    return sources.InstructionDist.point_mass(atom)
 
 
 def cmd_qrc_gill(args) -> int:
@@ -380,10 +375,7 @@ def _game_strategy(args):
 def cmd_bellgame(args) -> int:
     if args.rounds < 1:
         raise _config_error("--rounds must be >= 1")
-    try:
-        strategy = _game_strategy(args)
-    except ValueError as exc:
-        raise _config_error(str(exc))
+    strategy = _game_strategy(args)
     rng = _stream_of(args).generator()
     result = bellgame.play_game(strategy, args.rounds, rng,
                                 keep_log=args.out is not None)
@@ -413,10 +405,7 @@ def _homogeneity_for(values: np.ndarray, args) -> dict:
     for m in methods:
         data = values if m == "chi_square" else binned
         parts = args.parts if m == "chi_square" else 2
-        try:
-            res = stats.homogeneity_test(data, m, parts)
-        except ValueError as exc:
-            raise _config_error(str(exc))
+        res = stats.homogeneity_test(data, m, parts)
         out[m] = {"statistic": res.statistic, "p_value": res.p_value,
                   "details": res.details}
     return out
@@ -425,17 +414,16 @@ def _homogeneity_for(values: np.ndarray, args) -> dict:
 def cmd_homogeneity(args) -> int:
     try:
         events = read_events(args.input)
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise _config_error(f"reading events: {exc}")
-    if not events:
+    if not len(events):
         raise _config_error("no events in input")
-    values = np.array([getattr(e, args.column) for e in events], dtype=float)
+    column = events.outcome if args.column == "outcome" else events.setting
+    values = column.astype(float)
     if args.per_setting:
-        labels = sorted({e.setting_label for e in events})
         results = {}
-        for lab in labels:
-            sub = np.array([e.outcome for e in events
-                            if e.setting_label == lab], dtype=float)
+        for lab in np.unique(events.setting).tolist():
+            sub = events.outcome[events.setting == lab].astype(float)
             results[str(lab)] = _homogeneity_for(sub, args)
     else:
         results = _homogeneity_for(values, args)
@@ -462,11 +450,8 @@ def cmd_breakdown(args) -> int:
     spec = None
     if args.spec is not None:
         spec = _parse_breakdown_spec(_load_config(args.spec))
-    try:
-        report = stats.breakdown_demo(spec, args.runs, args.run_len,
-                                      _stream_of(args), args.threads)
-    except ValueError as exc:
-        raise _config_error(str(exc))
+    report = stats.breakdown_demo(spec, args.runs, args.run_len,
+                                  _stream_of(args), args.threads)
     results = report.to_dict()
     _emit(args, {"runs": args.runs, "run_len": args.run_len}, results)
     return 0
@@ -486,7 +471,7 @@ def _rt_singlet(stream, threads):
     rng = stream.generator()
     n = 100_000
     a, b = sources.singlet_pairs(0.0, math.pi / 4, n, rng)
-    e, _ = estimators.correlation_from_arrays(a, b)
+    e = estimators.correlation(_fixed_settings(0, 0, a, b))
     target = -math.sqrt(2) / 2
     yield _check("singlet-law", round(e, 5), round(target, 5), 0.01,
                  abs(e - target) <= 0.01)
@@ -500,15 +485,21 @@ def _rt_smeared(stream, threads):
     w = math.pi / 8
     a, b = sources.smeared_pairs(sources.AngleJitter(0.0, w),
                                  sources.AngleJitter(0.0, w), n, rng)
-    e, _ = estimators.correlation_from_arrays(a, b)
+    e = estimators.correlation(_fixed_settings(0, 0, a, b))
     target = -(math.sin(w) / w) ** 2
     yield _check("smeared-law", round(e, 5), round(target, 5), 0.01,
                  abs(e - target) <= 0.01)
 
 
+def _alternating(n: int, first: int) -> Events:
+    """n events at setting 0 whose outcomes alternate, starting at first."""
+    return Events(np.arange(n), np.zeros(n, dtype=np.int64),
+                  np.resize([first, -first], n))
+
+
 def _rt_pairing(stream, threads):
-    ea = [StationEvent(i, 0, -1 if i % 2 == 0 else 1) for i in range(1000)]
-    eb = [StationEvent(i, 0, 1 if i % 2 == 0 else -1) for i in range(1003)]
+    ea = _alternating(1000, -1)
+    eb = _alternating(1003, 1)
     got = []
     for k in (1, 2, 3, 4):
         trials = pairing.pair_systematic(ea, eb, k)
@@ -608,9 +599,9 @@ def _rt_contextual(stream, threads):
     for x in (0, 1):
         for y in (0, 1):
             a, b = sources.contextual_batch(x, y, n, params, rng)
-            e, used = estimators.correlation_from_arrays(a, b)
-            terms[(x, y)] = e
-            coinc.append(used / n)
+            trials = _fixed_settings(x, y, a, b)
+            terms[(x, y)] = estimators.correlation(trials)
+            coinc.append(int(trials.coincident.sum()) / n)
     s = terms[(0, 0)] + terms[(0, 1)] + terms[(1, 0)] - terms[(1, 1)]
     yield _check("contextual-chsh", round(s, 4), 3.9099, 0.05,
                  abs(s - 3.9099) <= 0.05)
@@ -827,6 +818,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except _ConfigError as exc:
         return exc.code
+    except ValueError as exc:  # out-of-domain input the library rejected
+        print(f"error: {exc}", file=sys.stderr)
+        return CONFIG_ERROR
 
 
 if __name__ == "__main__":

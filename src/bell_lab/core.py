@@ -1,5 +1,6 @@
-"""Shared vocabulary for the lab: ternary outcomes, station events, paired
-trials, reproducible random streams, and count tables.
+"""Shared vocabulary for the lab: ternary outcomes, station events and
+paired trials with their column stores, reproducible random streams, and
+count tables.
 
 Outcomes are +1 and -1 for the two analyzer exits and 0 for "no count"
 (undetected, or an unpaired partner slot).  Everything downstream speaks
@@ -11,8 +12,8 @@ from __future__ import annotations
 import csv
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,13 +35,20 @@ def check_outcome(value) -> int:
     return v
 
 
-def check_outcomes(values) -> np.ndarray:
-    """Validate an array of outcomes in one pass."""
+def _integers(values, what: str) -> np.ndarray:
     arr = np.asarray(values)
-    if arr.size and not np.isin(arr, OUTCOMES).all():
-        bad = arr[~np.isin(arr, OUTCOMES)][0]
-        raise ValueError(f"outcome must be one of {OUTCOMES}, got {bad!r}")
-    return arr.astype(np.int8)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got {arr.dtype}")
+    return arr
+
+
+def check_outcomes(values) -> np.ndarray:
+    """Validate an integer array of outcomes; int8 input comes back uncopied."""
+    arr = _integers(values, "outcomes")
+    if arr.size and (arr.min() < MINUS or arr.max() > PLUS):
+        bad = arr[(arr < MINUS) | (arr > PLUS)][0]
+        raise ValueError(f"outcome must be one of {OUTCOMES}, got {int(bad)!r}")
+    return arr.astype(np.int8, copy=False)
 
 
 def wrap_angle(theta: float) -> float:
@@ -79,6 +87,70 @@ class PairedTrial:
     def coincident(self) -> bool:
         """True when both sides actually fired."""
         return self.a != NO_COUNT and self.b != NO_COUNT
+
+
+class _ColumnStore:
+    """Equal-length numpy columns, one per dataclass field.
+
+    Columns named in OUTCOME_COLUMNS hold validated outcomes as int8, the
+    others integer labels as int64.  Row i is ROW built from the i-th
+    entry of every column, in field order.
+    """
+
+    ROW: type
+    OUTCOME_COLUMNS: tuple
+
+    def __post_init__(self):
+        for f in fields(self):
+            values = getattr(self, f.name)
+            column = (check_outcomes(values) if f.name in self.OUTCOME_COLUMNS
+                      else _integers(values, f.name).astype(np.int64, copy=False))
+            object.__setattr__(self, f.name, column)
+        lengths = {len(c) for c in self._columns()}
+        if len(lengths) > 1:
+            raise ValueError(f"columns differ in length: {sorted(lengths)}")
+
+    def _columns(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def __len__(self) -> int:
+        return len(self._columns()[0])
+
+    def __getitem__(self, i: int):
+        return self.ROW(*(int(c[i]) for c in self._columns()))
+
+    def __iter__(self) -> Iterator:
+        return map(self.ROW, *(c.tolist() for c in self._columns()))
+
+
+@dataclass(frozen=True, eq=False)
+class Events(_ColumnStore):
+    """One station's events in stream order; row i is StationEvent i."""
+
+    ROW = StationEvent
+    OUTCOME_COLUMNS = ("outcome",)
+
+    window: np.ndarray
+    setting: np.ndarray
+    outcome: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class Trials(_ColumnStore):
+    """Paired trials; row i is PairedTrial i."""
+
+    ROW = PairedTrial
+    OUTCOME_COLUMNS = ("a", "b")
+
+    setting_a: np.ndarray
+    setting_b: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+
+    @property
+    def coincident(self) -> np.ndarray:
+        """Mask of the trials where both sides actually fired."""
+        return (self.a != NO_COUNT) & (self.b != NO_COUNT)
 
 
 @dataclass(frozen=True)
@@ -125,7 +197,7 @@ def run_indexed(fn: Callable[[int], object], count: int, threads: int | None = N
         return list(pool.map(fn, range(count)))
 
 
-def tabulate(trials: Iterable[PairedTrial],
+def tabulate(trials: Trials,
              settings_a: Sequence[int] | None = None,
              settings_b: Sequence[int] | None = None) -> dict:
     """Count table over (setting_a, setting_b, a, b).
@@ -135,17 +207,17 @@ def tabulate(trials: Iterable[PairedTrial],
     so every admissible key is present and the values sum to the number
     of trials.
     """
-    trials = list(trials)
-    sa = set(settings_a) if settings_a is not None else {t.setting_a for t in trials}
-    sb = set(settings_b) if settings_b is not None else {t.setting_b for t in trials}
+    sa = set(settings_a) if settings_a is not None else set(trials.setting_a.tolist())
+    sb = set(settings_b) if settings_b is not None else set(trials.setting_b.tolist())
     table = {(x, y, a, b): 0
              for x in sorted(sa) for y in sorted(sb)
              for a in OUTCOMES for b in OUTCOMES}
-    for t in trials:
-        key = (t.setting_a, t.setting_b, t.a, t.b)
+    keys, counts = np.unique(np.stack(trials._columns()), axis=1,
+                             return_counts=True)
+    for key, count in zip(map(tuple, keys.T.tolist()), counts.tolist()):
         if key not in table:
             raise ValueError(f"trial setting pair {key[:2]} outside the declared grid")
-        table[key] += 1
+        table[key] = count
     return table
 
 
@@ -153,56 +225,41 @@ EVENT_FIELDS = ("window_index", "setting_label", "outcome")
 TRIAL_FIELDS = ("setting_a", "setting_b", "a", "b")
 
 
-def write_events(path, events: Iterable[StationEvent]) -> None:
+def _write_columns(path, header, store: _ColumnStore) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(EVENT_FIELDS)
-        for e in events:
-            w.writerow((e.window_index, e.setting_label, e.outcome))
+        w.writerow(header)
+        w.writerows(zip(*(c.tolist() for c in store._columns())))
 
 
-def read_events(path) -> list[StationEvent]:
-    out = []
+def _read_columns(path, header) -> list:
+    """One int64 array per column named in header; blank lines are skipped."""
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(StationEvent(int(row["window_index"]),
-                                    int(row["setting_label"]),
-                                    int(row["outcome"])))
-    return out
+        reader = csv.reader(fh)
+        where = {name: i for i, name in enumerate(next(reader, []))}
+        rows = [row for row in reader if row]
+    try:
+        return [np.array([row[where[name]] for row in rows], dtype=np.int64)
+                for name in header]
+    except KeyError as exc:
+        raise ValueError(f"missing column {exc}") from None
+    except IndexError:
+        raise ValueError("a row has fewer cells than the header") from None
+    except OverflowError as exc:
+        raise ValueError(str(exc)) from None
 
 
-def write_trials(path, trials: Iterable[PairedTrial]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(TRIAL_FIELDS)
-        for t in trials:
-            w.writerow((t.setting_a, t.setting_b, t.a, t.b))
+def write_events(path, events: Events) -> None:
+    _write_columns(path, EVENT_FIELDS, events)
 
 
-def read_trials(path) -> list[PairedTrial]:
-    out = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(PairedTrial(int(row["setting_a"]), int(row["setting_b"]),
-                                   int(row["a"]), int(row["b"])))
-    return out
+def read_events(path) -> Events:
+    return Events(*_read_columns(path, EVENT_FIELDS))
 
 
-def trials_to_arrays(trials: Sequence[PairedTrial]):
-    """Columns (setting_a, setting_b, a, b) as numpy arrays."""
-    n = len(trials)
-    sa = np.empty(n, dtype=np.int64)
-    sb = np.empty(n, dtype=np.int64)
-    a = np.empty(n, dtype=np.int8)
-    b = np.empty(n, dtype=np.int8)
-    for i, t in enumerate(trials):
-        sa[i] = t.setting_a
-        sb[i] = t.setting_b
-        a[i] = t.a
-        b[i] = t.b
-    return sa, sb, a, b
+def write_trials(path, trials: Trials) -> None:
+    _write_columns(path, TRIAL_FIELDS, trials)
 
 
-def arrays_to_trials(setting_a, setting_b, a, b) -> list[PairedTrial]:
-    return [PairedTrial(int(x), int(y), int(u), int(v))
-            for x, y, u, v in zip(setting_a, setting_b, a, b)]
+def read_trials(path) -> Trials:
+    return Trials(*_read_columns(path, TRIAL_FIELDS))

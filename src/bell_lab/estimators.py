@@ -9,31 +9,25 @@ no data behind them come back as None rather than a fabricated number.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .core import MINUS, NO_COUNT, PLUS, PairedTrial, trials_to_arrays
+from .core import MINUS, NO_COUNT, PLUS, Trials
 
 
-def correlation_from_arrays(a, b, coincident_only: bool = True):
+def _mean_product(a, b, coincident_only: bool):
     """(mean of a*b, count used); value is None when nothing is usable."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
     if coincident_only:
         keep = (a != NO_COUNT) & (b != NO_COUNT)
         a, b = a[keep], b[keep]
-    n = a.size
-    if n == 0:
+    if a.size == 0:
         return None, 0
-    return float(np.mean(a * b)), int(n)
+    return float(np.mean(a.astype(np.int64) * b)), int(a.size)
 
 
-def correlation(trials: Sequence[PairedTrial],
-                coincident_only: bool = True) -> float | None:
+def correlation(trials: Trials, coincident_only: bool = True) -> float | None:
     """Average product of the two outcomes, normally over coincident trials."""
-    _, _, a, b = trials_to_arrays(trials)
-    value, _ = correlation_from_arrays(a, b, coincident_only)
+    value, _ = _mean_product(trials.a, trials.b, coincident_only)
     return value
 
 
@@ -73,29 +67,17 @@ class ChshEstimate:
                 "apb": self.e_apb, "apbp": self.e_apbp}
 
 
-def chsh_from_arrays(setting_a, setting_b, a, b,
-                     a_labels=(0, 1), b_labels=(0, 1),
-                     coincident_only: bool = True) -> ChshEstimate:
-    setting_a = np.asarray(setting_a)
-    setting_b = np.asarray(setting_b)
-    a = np.asarray(a)
-    b = np.asarray(b)
-    vals = []
-    ns = []
+def chsh(trials: Trials, a_labels=(0, 1), b_labels=(0, 1),
+         coincident_only: bool = True) -> ChshEstimate:
+    """Group trials by setting pair and assemble the CHSH combination."""
+    vals, ns = [], []
     for x in a_labels:
         for y in b_labels:
-            sel = (setting_a == x) & (setting_b == y)
-            v, n = correlation_from_arrays(a[sel], b[sel], coincident_only)
+            sel = (trials.setting_a == x) & (trials.setting_b == y)
+            v, n = _mean_product(trials.a[sel], trials.b[sel], coincident_only)
             vals.append(v)
             ns.append(n)
     return ChshEstimate(*vals, *ns)
-
-
-def chsh(trials: Sequence[PairedTrial], a_labels=(0, 1), b_labels=(0, 1),
-         coincident_only: bool = True) -> ChshEstimate:
-    """Group trials by setting pair and assemble the CHSH combination."""
-    sa, sb, a, b = trials_to_arrays(trials)
-    return chsh_from_arrays(sa, sb, a, b, a_labels, b_labels, coincident_only)
 
 
 # ---------------------------------------------------------------------------
@@ -131,29 +113,20 @@ class CounterSet:
         return tuple(e + u for e, u in zip(self.n_e, self.n_u))
 
 
-def vongher_counters_from_arrays(setting_a, setting_b, a, b) -> CounterSet:
-    setting_a = np.asarray(setting_a)
-    setting_b = np.asarray(setting_b)
-    a = np.asarray(a)
-    b = np.asarray(b)
-    ok_a = np.isin(setting_a, VONGHER_SETTINGS_A)
-    ok_b = np.isin(setting_b, VONGHER_SETTINGS_B)
-    if not (ok_a.all() and ok_b.all()):
+def vongher_counters(trials: Trials) -> CounterSet:
+    """Tally equal/unequal coincident pairs by setting distance."""
+    sa, sb, a, b = trials.setting_a, trials.setting_b, trials.a, trials.b
+    if not (np.isin(sa, VONGHER_SETTINGS_A).all()
+            and np.isin(sb, VONGHER_SETTINGS_B).all()):
         raise ValueError(f"side A settings must be in {VONGHER_SETTINGS_A} "
                          f"and side B settings in {VONGHER_SETTINGS_B}")
-    d = np.abs(setting_b - setting_a)
-    coinc = (a != NO_COUNT) & (b != NO_COUNT)
+    d = np.abs(sb - sa)
+    coinc = trials.coincident
     equal = coinc & (a == b)
     unequal = coinc & (a != b)
     n_e = [int(np.sum(equal & (d == k))) for k in range(N_DELTAS)]
     n_u = [int(np.sum(unequal & (d == k))) for k in range(N_DELTAS)]
     return CounterSet(tuple(n_e), tuple(n_u))
-
-
-def vongher_counters(trials: Sequence[PairedTrial]) -> CounterSet:
-    """Tally equal/unequal coincident pairs by setting distance."""
-    sa, sb, a, b = trials_to_arrays(trials)
-    return vongher_counters_from_arrays(sa, sb, a, b)
 
 
 @dataclass(frozen=True)
@@ -225,14 +198,14 @@ def eberhard_j(counts: EberhardCounts) -> int:
             + counts.n_uo_21 + counts.n_oo_22 - counts.n_oo_11)
 
 
-def eberhard_counts(trials: Sequence[PairedTrial],
+def eberhard_counts(trials: Trials,
                     a_labels=(0, 1), b_labels=(0, 1)) -> EberhardCounts:
     """Extract the six counts from measured trials.
 
     a_labels and b_labels give the (first, second) setting label on each
     side.  Trials at other labels are an error.
     """
-    sa, sb, a, b = trials_to_arrays(trials)
+    sa, sb, a, b = trials.setting_a, trials.setting_b, trials.a, trials.b
     a1, a2 = a_labels
     b1, b2 = b_labels
     if not (np.isin(sa, a_labels).all() and np.isin(sb, b_labels).all()):

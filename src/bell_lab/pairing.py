@@ -8,17 +8,14 @@ the kind coincidence circuits implement.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from .core import NO_COUNT, PairedTrial, StationEvent
+from .core import NO_COUNT, Events, Trials
 
 UNPAIRED_SETTING = -1  # setting label recorded for an absent partner
 
 
-def pair_systematic(events_a: Sequence[StationEvent],
-                    events_b: Sequence[StationEvent], k: int) -> list[PairedTrial]:
+def pair_systematic(events_a: Events, events_b: Events, k: int) -> Trials:
     """Pair stream slot i on side A with slot i + k - 1 on side B.
 
     k = 1 is the in-step pairing; larger k slides side B back by k - 1
@@ -27,19 +24,14 @@ def pair_systematic(events_a: Sequence[StationEvent],
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = min(len(events_a), len(events_b) - (k - 1))
-    out = []
-    for i in range(max(n, 0)):
-        ea = events_a[i]
-        eb = events_b[i + k - 1]
-        out.append(PairedTrial(ea.setting_label, eb.setting_label,
-                               ea.outcome, eb.outcome))
-    return out
+    n = max(min(len(events_a), len(events_b) - (k - 1)), 0)
+    b = slice(k - 1, k - 1 + n)
+    return Trials(events_a.setting[:n], events_b.setting[b],
+                  events_a.outcome[:n], events_b.outcome[b])
 
 
-def pair_random(events_a: Sequence[StationEvent],
-                events_b: Sequence[StationEvent], m: int,
-                rng: np.random.Generator) -> list[PairedTrial]:
+def pair_random(events_a: Events, events_b: Events, m: int,
+                rng: np.random.Generator) -> Trials:
     """Draw m index pairs (s, t) with replacement, uniform over s <= t.
 
     Both indices run over their own stream; the s <= t constraint keeps
@@ -62,18 +54,21 @@ def pair_random(events_a: Sequence[StationEvent],
         ss[have:have + take] = s[ok][:take]
         ts[have:have + take] = t[ok][:take]
         have += take
-    out = []
-    for s, t in zip(ss, ts):
-        ea = events_a[int(s)]
-        eb = events_b[int(t)]
-        out.append(PairedTrial(ea.setting_label, eb.setting_label,
-                               ea.outcome, eb.outcome))
-    return out
+    return Trials(events_a.setting[ss], events_b.setting[ts],
+                  events_a.outcome[ss], events_b.outcome[ts])
 
 
-def pair_time_window(events_a: Sequence[StationEvent],
-                     events_b: Sequence[StationEvent],
-                     width: float) -> list[PairedTrial]:
+def _in_time_order(events: Events):
+    """(window, setting, outcome) sorted by window, plus one trailing row
+    for an absent partner that index -1 reaches."""
+    order = np.argsort(events.window, kind="stable")
+    return (np.append(events.window[order], np.iinfo(np.int64).max),
+            np.append(events.setting[order], UNPAIRED_SETTING),
+            np.append(events.outcome[order], NO_COUNT))
+
+
+def pair_time_window(events_a: Events, events_b: Events,
+                     width: float) -> Trials:
     """Greedy coincidence matching on window indices.
 
     Events are taken in time order; each side-A event grabs the earliest
@@ -85,44 +80,38 @@ def pair_time_window(events_a: Sequence[StationEvent],
     """
     if width <= 0:
         raise ValueError("width must be > 0")
-    ea = sorted(events_a, key=lambda e: e.window_index)
-    eb = sorted(events_b, key=lambda e: e.window_index)
-    keyed = []  # (time, tiebreak, trial)
+    wa, sa, oa = _in_time_order(events_a)
+    wb, sb, ob = _in_time_order(events_b)
+    nb = len(events_b)
+    wb_list = wb.tolist()
+    partner = []  # per side-A event: its side-B index, or -1
     j = 0
-    nb = len(eb)
-    matched_b = [False] * nb
-    for a_ev in ea:
-        while j < nb and eb[j].window_index <= a_ev.window_index - width:
+    for w in wa[:-1].tolist():
+        while j < nb and wb_list[j] <= w - width:
             j += 1
-        if j < nb and abs(eb[j].window_index - a_ev.window_index) < width:
-            b_ev = eb[j]
-            matched_b[j] = True
+        if j < nb and abs(wb_list[j] - w) < width:
+            partner.append(j)
             j += 1
-            t = PairedTrial(a_ev.setting_label, b_ev.setting_label,
-                            a_ev.outcome, b_ev.outcome)
-            keyed.append((min(a_ev.window_index, b_ev.window_index), 0, t))
         else:
-            t = PairedTrial(a_ev.setting_label, UNPAIRED_SETTING,
-                            a_ev.outcome, NO_COUNT)
-            keyed.append((a_ev.window_index, 0, t))
-    for j, b_ev in enumerate(eb):
-        if not matched_b[j]:
-            t = PairedTrial(UNPAIRED_SETTING, b_ev.setting_label,
-                            NO_COUNT, b_ev.outcome)
-            keyed.append((b_ev.window_index, 1, t))
-    keyed.sort(key=lambda kt: (kt[0], kt[1]))
-    return [t for _, _, t in keyed]
+            partner.append(-1)
+    lone_b = np.setdiff1d(np.arange(nb), partner)
+    # rows: every side-A event with its partner, then the lone side-B
+    # events; the sort below is stable, so equal keys keep this order
+    ia = np.concatenate([np.arange(len(events_a)), np.full(len(lone_b), -1)])
+    ib = np.concatenate([np.array(partner, dtype=np.int64), lone_b])
+    order = np.lexsort((ia < 0, np.minimum(wa[ia], wb[ib])))
+    ia, ib = ia[order], ib[order]
+    return Trials(sa[ia], sb[ib], oa[ia], ob[ib])
 
 
-def covariance(trials: Sequence[PairedTrial], coincident_only: bool = True) -> float:
+def covariance(trials: Trials, coincident_only: bool = True) -> float:
     """Population covariance of the two outcome columns.
 
     coincident_only drops trials where either side shows 0.  Needs at
     least two usable trials.
     """
-    pool = [t for t in trials if t.coincident] if coincident_only else list(trials)
-    if len(pool) < 2:
+    keep = trials.coincident if coincident_only else slice(None)
+    a, b = trials.a[keep].astype(float), trials.b[keep].astype(float)
+    if len(a) < 2:
         raise ValueError("need at least 2 usable trials for a covariance")
-    a = np.array([t.a for t in pool], dtype=float)
-    b = np.array([t.b for t in pool], dtype=float)
     return float(np.mean(a * b) - a.mean() * b.mean())

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .core import MINUS, NO_COUNT, PLUS, PairedTrial, RngStream, run_indexed
+from .core import MINUS, NO_COUNT, PLUS, RngStream, Trials, run_indexed
 from .estimators import (BellCounterResult, ChshEstimate, CounterChsh,
-                         CounterSet, bell_counter_test, chsh_from_arrays,
-                         chsh_from_counters, vongher_counters_from_arrays)
+                         CounterSet, bell_counter_test, chsh,
+                         chsh_from_counters, vongher_counters)
 from .sources import (SETTINGS_A, SETTINGS_B, BallTable, BallVariant,
                       InstructionDist, Spreadsheet4, generate_cfd_spreadsheet,
                       generate_tennis_balls)
@@ -48,11 +47,10 @@ def gill_subsample(sheet: Spreadsheet4, rng: np.random.Generator) -> ChshEstimat
     n = len(sheet)
     pick_a = rng.integers(0, 2, size=n)  # 0 reads A, 1 reads A'
     pick_b = rng.integers(0, 2, size=n)
-    rows = sheet.rows.astype(np.int64)
+    rows = sheet.rows
     a_val = np.where(pick_a == 0, rows[:, 0], rows[:, 1])
     b_val = np.where(pick_b == 0, rows[:, 2], rows[:, 3])
-    return chsh_from_arrays(pick_a, pick_b, a_val, b_val,
-                            a_labels=(0, 1), b_labels=(0, 1))
+    return chsh(Trials(pick_a, pick_b, a_val, b_val))
 
 
 @dataclass(frozen=True)
@@ -111,6 +109,8 @@ def gill_campaign(dist: InstructionDist, n_rows: int, runs: int,
     Run i draws everything from stream.child(i), so reports do not
     depend on scheduling.
     """
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
 
     def one(i: int) -> dict:
         rng = stream.child(i).generator()
@@ -187,8 +187,8 @@ class VongherRun:
         return self.chsh.s_value is not None and self.chsh.s_value > CHSH_BOUND
 
 
-def vongher_run(source, n_pairs: int, rng: np.random.Generator) -> VongherRun:
-    """Play one run of the ball protocol.
+def vongher_trials(source, n_pairs: int, rng: np.random.Generator) -> Trials:
+    """Draw one run of the ball protocol as trials.
 
     source is a BallVariant, or the string "quantum" for a singlet
     source measured at the protocol angles.  Draw order: settings for
@@ -202,27 +202,21 @@ def vongher_run(source, n_pairs: int, rng: np.random.Generator) -> VongherRun:
         a, b = measure_balls(table, sa, sb)
     else:
         raise ValueError(f"source must be a BallVariant or {QUANTUM_SOURCE!r}")
-    counters = vongher_counters_from_arrays(sa, sb, a, b)
+    return Trials(sa, sb, a, b)
+
+
+def vongher_run(source, n_pairs: int, rng: np.random.Generator) -> VongherRun:
+    """Play one run of the ball protocol: vongher_trials, then both verdicts."""
+    counters = vongher_counters(vongher_trials(source, n_pairs, rng))
     return VongherRun(counters, bell_counter_test(counters),
                       chsh_from_counters(counters))
-
-
-def vongher_trials(source, n_pairs: int,
-                   rng: np.random.Generator) -> list[PairedTrial]:
-    """Same record a vongher_run scores, materialized as trials."""
-    sa, sb = draw_vongher_settings(n_pairs, rng)
-    if source == QUANTUM_SOURCE:
-        a, b = quantum_ball_outcomes(sa, sb, rng)
-    else:
-        table = generate_tennis_balls(n_pairs, source, rng)
-        a, b = measure_balls(table, sa, sb)
-    return [PairedTrial(int(x), int(y), int(u), int(v))
-            for x, y, u, v in zip(sa, sb, a, b)]
 
 
 def vongher_campaign(source, runs: int, n_pairs: int, stream: RngStream,
                      threads: int | None = None) -> CampaignReport:
     """Many independent ball-protocol runs; rates for both verdicts."""
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
 
     def one(i: int) -> dict:
         rng = stream.child(i).generator()

@@ -22,12 +22,12 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import MINUS, NO_COUNT, PLUS, PairedTrial
+from .core import MINUS, PLUS
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +123,6 @@ def smeared_pairs(jitter_a: AngleJitter, jitter_b: AngleJitter, n: int,
     flip = rng.random(n) < p_anti
     b = np.where(flip, -a, a).astype(np.int8)
     return a, b
-
-
-def sample_smeared_pair(jitter_a: AngleJitter, jitter_b: AngleJitter,
-                        rng: np.random.Generator) -> tuple[int, int]:
-    a, b = smeared_pairs(jitter_a, jitter_b, 1, rng)
-    return int(a[0]), int(b[0])
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +394,8 @@ def contextual_batch(x: int, y: int, n: int, params: ContextualParams,
     (phi, lambda_a, x) alone, so replaying the stream with a different y
     reproduces it bit for bit.
     """
+    if not (0 <= x < len(params.angles_a) and 0 <= y < len(params.angles_b)):
+        raise ValueError(f"setting labels ({x}, {y}) have no analyzer angle")
     theta_x = params.angles_a[x]
     theta_y = params.angles_b[y]
     if params.response == "constant_plus":
@@ -415,9 +411,3 @@ def contextual_batch(x: int, y: int, n: int, params: ContextualParams,
     b = np.where(np.abs(cb) >= params.tau0 * lam_b ** params.gamma,
                  -np.sign(cb), 0.0).astype(np.int8)
     return a, b
-
-
-def contextual_trial(x: int, y: int, params: ContextualParams,
-                     rng: np.random.Generator) -> PairedTrial:
-    a, b = contextual_batch(x, y, 1, params, rng)
-    return PairedTrial(x, y, int(a[0]), int(b[0]))

@@ -321,6 +321,8 @@ def breakdown_demo(spec: DriftingDeviceSpec | None = None, runs: int = 100,
     significance, the pooled series quietly accepts it, and the
     homogeneity battery explains why: the series is not one experiment.
     """
+    if run_len < 2:
+        raise ValueError("run_len must be >= 2 for a standard error")
     spec = spec if spec is not None else default_breakdown_spec()
     stream = stream if stream is not None else RngStream(0)
     spec.check_covers(runs)

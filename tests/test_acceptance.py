@@ -13,7 +13,7 @@ import numpy as np
 from scipy import integrate
 
 from bell_lab import bellgame, estimators, pairing, randi, sources, stats
-from bell_lab.core import RngStream, StationEvent
+from bell_lab.core import Events, RngStream, Trials
 
 SEED = 108
 
@@ -64,8 +64,10 @@ def test_criterion_2_smeared_law(capsys):
 
 
 def test_criterion_3_pairing_triple(capsys):
-    ea = [StationEvent(i, 0, -1 if i % 2 == 0 else 1) for i in range(1000)]
-    eb = [StationEvent(i, 0, 1 if i % 2 == 0 else -1) for i in range(1003)]
+    ea = Events(np.arange(1000), np.zeros(1000, dtype=int),
+                np.resize([-1, 1], 1000))
+    eb = Events(np.arange(1003), np.zeros(1003, dtype=int),
+                np.resize([1, -1], 1003))
     got = [pairing.covariance(pairing.pair_systematic(ea, eb, k))
            for k in (1, 2, 3, 4)]
     exact = got == [-1.0, 1.0, -1.0, 1.0]
@@ -315,8 +317,8 @@ def test_criterion_9_contextual_model(capsys):
     for idx, (x, y) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
         a, b = sources.contextual_batch(x, y, n, params,
                                         stream(9).child(idx).generator())
-        e, _ = estimators.correlation_from_arrays(a, b)
-        terms[(x, y)] = e
+        terms[(x, y)] = estimators.correlation(
+            Trials(np.full(n, x), np.full(n, y), a, b))
     s = terms[(0, 0)] + terms[(0, 1)] + terms[(1, 0)] - terms[(1, 1)]
     elapsed = time.time() - t0
     ok = (replay and abs(oracle - frozen) < 1e-9 and abs(s - oracle) <= 0.02

@@ -4,7 +4,14 @@ import math
 import pytest
 
 from bell_lab.cli import main
-from bell_lab.core import PairedTrial, write_trials
+import numpy as np
+
+from bell_lab.core import Trials, write_trials
+
+
+def trials_of(*rows):
+    """Trials from (setting_a, setting_b, a, b) rows."""
+    return Trials(*np.array(rows, dtype=np.int64).reshape(-1, 4).T)
 
 
 def run(capsys, *args):
@@ -117,7 +124,7 @@ def test_pair_bad_spec(capsys, tmp_path):
 
 def test_estimate_strict_exit_on_undefined(capsys, tmp_path):
     path = tmp_path / "trials.csv"
-    write_trials(path, [PairedTrial(0, 0, 1, -1), PairedTrial(0, 0, -1, 1)])
+    write_trials(path, trials_of((0, 0, 1, -1), (0, 0, -1, 1)))
     # three of the four CHSH groups are empty
     code, payload, _ = run(capsys, "estimate", "--input", str(path),
                            "--stat", "chsh")
@@ -131,7 +138,7 @@ def test_estimate_strict_exit_on_undefined(capsys, tmp_path):
 
 def test_estimate_covariance_undefined(capsys, tmp_path):
     path = tmp_path / "trials.csv"
-    write_trials(path, [PairedTrial(0, 0, 0, 1), PairedTrial(0, 0, 0, -1)])
+    write_trials(path, trials_of((0, 0, 0, 1), (0, 0, 0, -1)))
     code, payload, _ = run(capsys, "estimate", "--input", str(path),
                            "--stat", "covariance")
     assert code == 0 and payload["results"]["covariance"] is None
@@ -141,8 +148,8 @@ def test_estimate_covariance_undefined(capsys, tmp_path):
 
 def test_estimate_counter_stats(capsys, tmp_path):
     path = tmp_path / "trials.csv"
-    write_trials(path, [PairedTrial(0, 0, 1, -1), PairedTrial(0, 2, 1, 1),
-                        PairedTrial(3, 2, 1, -1), PairedTrial(3, 0, -1, -1)])
+    write_trials(path, trials_of((0, 0, 1, -1), (0, 2, 1, 1),
+                                 (3, 2, 1, -1), (3, 0, -1, -1)))
     code, payload, _ = run(capsys, "estimate", "--input", str(path),
                            "--stat", "bell-counter")
     assert code == 0
@@ -298,3 +305,66 @@ def test_reproduce_pairing_target(capsys):
     assert code == 0
     assert payload["results"]["passed"] == payload["results"]["total"]
     assert "[ok] pairing-offsets" in checks
+
+
+# ---------------------------------------------------------------------------
+# malformed input and out-of-domain parameters exit 2 with one line
+
+EVENT_CSV = {
+    "outcome-2": "window_index,setting_label,outcome\r\n0,0,1\r\n1,0,2\r\n",
+    "missing-column": "window_index,setting_label\r\n0,0\r\n1,1\r\n",
+    "non-integer": "window_index,setting_label,outcome\r\n0,0,1\r\n1,x,-1\r\n",
+    "header-only": "window_index,setting_label,outcome\r\n",
+}
+TRIAL_CSV = {
+    "outcome-2": "setting_a,setting_b,a,b\r\n0,0,1,-1\r\n0,1,2,1\r\n",
+    "missing-column": "setting_a,setting_b,a\r\n0,0,1\r\n",
+    "non-integer": "setting_a,setting_b,a,b\r\n0,0,1,-1\r\n0,1,1.5,1\r\n",
+}
+GOOD_EVENTS = "window_index,setting_label,outcome\r\n0,0,1\r\n1,1,-1\r\n"
+
+
+def assert_one_line_error(capsys, argv, needle="error:"):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert needle in err
+
+
+@pytest.mark.parametrize("case", sorted(EVENT_CSV))
+def test_pair_rejects_malformed_events(capsys, tmp_path, case):
+    bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+    bad.write_text(EVENT_CSV[case], newline="")
+    good.write_text(GOOD_EVENTS, newline="")
+    # random pairing needs events on both sides, so header-only fails too
+    assert_one_line_error(capsys, ["pair", "--events-a", str(bad),
+                                   "--events-b", str(good),
+                                   "--pairing", "random:10"])
+
+
+@pytest.mark.parametrize("case", sorted(EVENT_CSV))
+def test_homogeneity_rejects_malformed_events(capsys, tmp_path, case):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(EVENT_CSV[case], newline="")
+    needle = "no events in input" if case == "header-only" else "error:"
+    assert_one_line_error(capsys, ["homogeneity", "--input", str(bad)], needle)
+
+
+@pytest.mark.parametrize("case", sorted(TRIAL_CSV))
+def test_estimate_rejects_malformed_trials(capsys, tmp_path, case):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(TRIAL_CSV[case], newline="")
+    assert_one_line_error(capsys, ["estimate", "--input", str(bad),
+                                   "--stat", "chsh"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "contextual", "--x", "-1", "--n", "10"],
+    ["simulate", "--model", "contextual", "--y", "2", "--n", "10"],
+    ["simulate", "--model", "smeared", "--half-width-a", "-1", "--n", "10"],
+    ["qrc-gill", "--runs", "0"],
+    ["qrc-vongher", "--runs", "0"],
+    ["breakdown", "--run-len", "1"],
+])
+def test_out_of_domain_parameters_exit_2(capsys, argv):
+    assert_one_line_error(capsys, argv)

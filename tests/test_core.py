@@ -2,12 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bell_lab.core import (NO_COUNT, OUTCOMES, PairedTrial, RngStream,
-                           StationEvent, check_outcome, read_events,
-                           read_trials, run_indexed, tabulate, wrap_angle,
-                           write_events, write_trials)
+from bell_lab.core import (NO_COUNT, OUTCOMES, Events, PairedTrial,
+                           RngStream, StationEvent, Trials, check_outcome,
+                           check_outcomes, read_events, read_trials,
+                           run_indexed, tabulate, wrap_angle, write_events,
+                           write_trials)
 
 TWO_PI = 2 * np.pi
+
+
+def trials_of(*rows):
+    """Trials from (setting_a, setting_b, a, b) rows."""
+    return Trials(*np.array(rows, dtype=np.int64).reshape(-1, 4).T)
 
 
 def test_outcome_validation():
@@ -21,6 +27,43 @@ def test_outcome_validation():
 def test_station_event_rejects_bad_outcome():
     with pytest.raises(ValueError):
         StationEvent(0, 0, 3)
+
+
+def test_check_outcomes_matches_the_scalar_check():
+    for bad in ([0, 1, 2], [-2], np.array([1, 3], dtype=np.int8),
+                np.array([0.5]), np.array([1.0])):
+        with pytest.raises(ValueError):
+            check_outcomes(bad)
+    with pytest.raises(ValueError, match="got 2"):
+        check_outcomes(np.array([1, 0, 2, -1]))
+    ok = np.array([1, -1, 0], dtype=np.int8)
+    assert check_outcomes(ok) is ok  # int8 passes through uncopied
+    got = check_outcomes([1, -1, 0])
+    assert got.dtype == np.int8 and got.tolist() == [1, -1, 0]
+    assert check_outcomes([]).size == 0
+
+
+def test_column_stores_yield_row_values():
+    events = Events([4, 7], [0, 1], [1, 0])
+    assert len(events) == 2
+    assert events[1] == StationEvent(7, 1, 0)
+    assert list(events) == [StationEvent(4, 0, 1), StationEvent(7, 1, 0)]
+    trials = trials_of((0, 1, 1, -1), (1, 0, 0, 1))
+    assert len(trials) == 2
+    assert trials[0] == PairedTrial(0, 1, 1, -1)
+    assert list(trials) == [PairedTrial(0, 1, 1, -1), PairedTrial(1, 0, 0, 1)]
+    assert trials.coincident.tolist() == [True, False]
+
+
+def test_column_stores_validate():
+    with pytest.raises(ValueError):
+        Events([0, 1], [0, 0], [1, 3])
+    with pytest.raises(ValueError):
+        Events([0, 1], [0], [1, 1])
+    with pytest.raises(ValueError):
+        Trials([0], [0], [1], [-2])
+    with pytest.raises(ValueError):
+        Trials([0, 0], [0, 0], [1, 1], [1])
 
 
 def test_paired_trial_coincident_flag():
@@ -73,13 +116,13 @@ def test_run_indexed_order_and_thread_determinism(monkeypatch):
 
 
 def test_tabulate_empty():
-    table = tabulate([], settings_a=(0,), settings_b=(0,))
+    table = tabulate(trials_of(), settings_a=(0,), settings_b=(0,))
     assert len(table) == 9
     assert all(v == 0 for v in table.values())
 
 
 def test_tabulate_constant_input():
-    trials = [PairedTrial(1, 1, 1, -1)] * 3
+    trials = trials_of(*[(1, 1, 1, -1)] * 3)
     table = tabulate(trials)
     assert table[(1, 1, 1, -1)] == 3
     assert sum(table.values()) == 3
@@ -90,7 +133,7 @@ def test_tabulate_constant_input():
                           st.sampled_from(OUTCOMES), st.sampled_from(OUTCOMES)),
                 max_size=60))
 def test_tabulate_conserves_count(rows):
-    trials = [PairedTrial(*r) for r in rows]
+    trials = trials_of(*rows)
     table = tabulate(trials, settings_a=(0, 1), settings_b=(0, 1))
     assert sum(table.values()) == len(trials)
     # full key grid always present
@@ -99,19 +142,32 @@ def test_tabulate_conserves_count(rows):
 
 def test_tabulate_rejects_setting_outside_grid():
     with pytest.raises(ValueError):
-        tabulate([PairedTrial(5, 0, 1, 1)], settings_a=(0,), settings_b=(0,))
+        tabulate(trials_of((5, 0, 1, 1)), settings_a=(0,), settings_b=(0,))
 
 
 def test_event_csv_round_trip(tmp_path):
-    events = [StationEvent(i, i % 2, (1, -1, 0)[i % 3]) for i in range(25)]
+    events = Events(np.arange(25), np.arange(25) % 2,
+                    np.resize([1, -1, 0], 25))
     path = tmp_path / "events.csv"
     write_events(path, events)
-    assert read_events(path) == events
+    assert list(read_events(path)) == list(events)
 
 
 def test_trial_csv_round_trip(tmp_path):
-    trials = [PairedTrial(i % 2, (i + 1) % 2, (1, -1, 0)[i % 3], (0, 1, -1)[i % 3])
-              for i in range(25)]
+    trials = trials_of(*((i % 2, (i + 1) % 2, (1, -1, 0)[i % 3], (0, 1, -1)[i % 3])
+                         for i in range(25)))
     path = tmp_path / "trials.csv"
     write_trials(path, trials)
-    assert read_trials(path) == trials
+    assert list(read_trials(path)) == list(trials)
+    assert path.read_bytes().startswith(b"setting_a,setting_b,a,b\r\n0,1,1,0\r\n")
+
+
+def test_csv_columns_are_found_by_header_name(tmp_path):
+    path = tmp_path / "events.csv"
+    path.write_text("outcome,extra,window_index,setting_label\n"
+                    "-1,x,5,1\n\n1,y,6,0\n")
+    assert list(read_events(path)) == [StationEvent(5, 1, -1),
+                                       StationEvent(6, 0, 1)]
+    path.write_text("window_index,setting_label,outcome\n5,1\n")
+    with pytest.raises(ValueError):
+        read_events(path)

@@ -5,78 +5,81 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bell_lab.core import PairedTrial, RngStream
+from bell_lab.core import RngStream, Trials
 from bell_lab.estimators import (ChshEstimate, CounterSet, EberhardCounts,
-                                 bell_counter_test, chsh, chsh_from_arrays,
-                                 chsh_from_counters, correlation,
-                                 correlation_from_arrays, eberhard_counterfactual,
+                                 bell_counter_test, chsh, chsh_from_counters,
+                                 correlation, eberhard_counterfactual,
                                  eberhard_counts, eberhard_j, vongher_counters)
 from bell_lab.sources import singlet_pairs
 
 SQRT2 = math.sqrt(2.0)
 
 
-def trials_at(sa, sb, pairs):
-    return [PairedTrial(sa, sb, a, b) for a, b in pairs]
+def rows_at(sa, sb, pairs):
+    return [(sa, sb, a, b) for a, b in pairs]
+
+
+def trials_of(rows):
+    """Trials from (setting_a, setting_b, a, b) rows."""
+    return Trials(*np.array(rows, dtype=np.int64).reshape(-1, 4).T)
 
 
 # ---------------------------------------------------------------------------
 # correlation
 
 def test_correlation_basic():
-    assert correlation(trials_at(0, 0, [(1, 1), (1, -1)])) == 0.0
-    assert correlation(trials_at(0, 0, [(1, -1), (-1, 1)])) == -1.0
+    assert correlation(trials_of(rows_at(0, 0, [(1, 1), (1, -1)]))) == 0.0
+    assert correlation(trials_of(rows_at(0, 0, [(1, -1), (-1, 1)]))) == -1.0
 
 
 def test_correlation_none_without_data():
-    assert correlation([]) is None
-    assert correlation([PairedTrial(0, 0, 0, 1)]) is None
+    assert correlation(trials_of([])) is None
+    assert correlation(trials_of([(0, 0, 0, 1)])) is None
 
 
 def test_correlation_no_count_handling():
-    trials = trials_at(0, 0, [(1, 1), (0, 1), (1, 0)])
+    trials = trials_of(rows_at(0, 0, [(1, 1), (0, 1), (1, 0)]))
     assert correlation(trials) == 1.0
     assert correlation(trials, coincident_only=False) == pytest.approx(1 / 3)
 
 
-def test_correlation_from_arrays_counts():
-    v, n = correlation_from_arrays([1, 1, 0], [1, -1, 1])
-    assert (v, n) == (0.0, 2)
-    v, n = correlation_from_arrays([], [])
-    assert v is None and n == 0
+def test_correlation_counts_only_coincident_trials():
+    trials = trials_of(rows_at(0, 0, [(1, 1), (1, -1), (0, 1)]))
+    assert correlation(trials) == 0.0
+    assert int(trials.coincident.sum()) == 2
 
 
 # ---------------------------------------------------------------------------
 # CHSH
 
 def test_chsh_groups_and_value():
-    trials = (trials_at(0, 0, [(1, 1)] * 4)
-              + trials_at(0, 1, [(1, 1)] * 3)
-              + trials_at(1, 0, [(-1, -1)] * 2)
-              + trials_at(1, 1, [(1, -1)] * 2))
-    est = chsh(trials)
+    trials = (rows_at(0, 0, [(1, 1)] * 4)
+              + rows_at(0, 1, [(1, 1)] * 3)
+              + rows_at(1, 0, [(-1, -1)] * 2)
+              + rows_at(1, 1, [(1, -1)] * 2))
+    est = chsh(trials_of(trials))
     assert est.sizes == (4, 3, 2, 2)
     assert est.terms() == {"ab": 1.0, "abp": 1.0, "apb": 1.0, "apbp": -1.0}
     assert est.s_value == 4.0  # measured groups are free of the bound
 
 
 def test_chsh_undefined_when_a_group_is_empty():
-    est = chsh(trials_at(0, 0, [(1, 1), (-1, -1)]))
+    est = chsh(trials_of(rows_at(0, 0, [(1, 1), (-1, -1)])))
     assert est.n_apbp == 0
     assert est.s_value is None
 
 
 def test_chsh_respects_custom_labels():
-    trials = (trials_at(0, 0, [(1, -1)] * 2) + trials_at(0, 2, [(1, -1)] * 2)
-              + trials_at(3, 0, [(1, -1)] * 2) + trials_at(3, 2, [(1, 1)] * 2))
-    est = chsh(trials, a_labels=(0, 3), b_labels=(0, 2))
+    trials = (rows_at(0, 0, [(1, -1)] * 2) + rows_at(0, 2, [(1, -1)] * 2)
+              + rows_at(3, 0, [(1, -1)] * 2) + rows_at(3, 2, [(1, 1)] * 2))
+    est = chsh(trials_of(trials), a_labels=(0, 3), b_labels=(0, 2))
     assert est.s_value == pytest.approx(-4.0)
 
 
 def test_chsh_no_counts_shrink_groups():
-    trials = (trials_at(0, 0, [(1, 1), (0, 1)]) + trials_at(0, 1, [(1, 1)])
-              + trials_at(1, 0, [(1, 1)]) + trials_at(1, 1, [(1, 1)]))
-    est = chsh(trials)
+    trials = (rows_at(0, 0, [(1, 1), (0, 1)]) + rows_at(0, 1, [(1, 1)])
+              + rows_at(1, 0, [(1, 1)]) + rows_at(1, 1, [(1, 1)]))
+    est = chsh(trials_of(trials))
     assert est.n_ab == 1
 
 
@@ -97,8 +100,8 @@ def test_chsh_singlet_reaches_two_sqrt_two():
         sb.append(np.full(n, y))
         av.append(a)
         bv.append(b)
-    est = chsh_from_arrays(np.concatenate(sa), np.concatenate(sb),
-                           np.concatenate(av), np.concatenate(bv))
+    est = chsh(Trials(np.concatenate(sa), np.concatenate(sb),
+                      np.concatenate(av), np.concatenate(bv)))
     assert abs(est.s_value) == pytest.approx(2 * SQRT2, abs=8 / math.sqrt(n))
 
 
@@ -116,22 +119,22 @@ def test_counter_set_validation():
 
 def test_vongher_counters_by_distance():
     trials = (
-        trials_at(0, 0, [(1, 1), (1, -1)])        # d = 0
-        + trials_at(0, 2, [(1, 1)] * 3)           # d = 2
-        + trials_at(3, 2, [(1, -1)] * 2)          # d = 1
-        + trials_at(3, 0, [(-1, -1)])             # d = 3
-        + trials_at(0, 0, [(0, 1), (1, 0)])       # no-counts touch nothing
+        rows_at(0, 0, [(1, 1), (1, -1)])        # d = 0
+        + rows_at(0, 2, [(1, 1)] * 3)           # d = 2
+        + rows_at(3, 2, [(1, -1)] * 2)          # d = 1
+        + rows_at(3, 0, [(-1, -1)])             # d = 3
+        + rows_at(0, 0, [(0, 1), (1, 0)])       # no-counts touch nothing
     )
-    cs = vongher_counters(trials)
+    cs = vongher_counters(trials_of(trials))
     assert cs.n_e == (1, 0, 3, 1)
     assert cs.n_u == (1, 2, 0, 0)
 
 
 def test_vongher_counters_reject_foreign_settings():
     with pytest.raises(ValueError):
-        vongher_counters([PairedTrial(1, 0, 1, 1)])
+        vongher_counters(trials_of([(1, 0, 1, 1)]))
     with pytest.raises(ValueError):
-        vongher_counters([PairedTrial(0, 1, 1, 1)])
+        vongher_counters(trials_of([(0, 1, 1, 1)]))
 
 
 def test_bell_counter_test_sides():
@@ -166,11 +169,11 @@ def test_eberhard_j_arithmetic():
 
 
 def test_eberhard_counts_from_trials():
-    trials = (trials_at(0, 0, [(1, 1), (1, -1)])
-              + trials_at(0, 1, [(1, -1), (1, 0), (-1, -1)])
-              + trials_at(1, 0, [(-1, 1), (0, 1), (1, 1)])
-              + trials_at(1, 1, [(1, 1), (1, 1)]))
-    c = eberhard_counts(trials)
+    trials = (rows_at(0, 0, [(1, 1), (1, -1)])
+              + rows_at(0, 1, [(1, -1), (1, 0), (-1, -1)])
+              + rows_at(1, 0, [(-1, 1), (0, 1), (1, 1)])
+              + rows_at(1, 1, [(1, 1), (1, 1)]))
+    c = eberhard_counts(trials_of(trials))
     assert c == EberhardCounts(n_oo_11=1, n_oe_12=1, n_ou_12=1,
                                n_eo_21=1, n_uo_21=1, n_oo_22=2)
     assert eberhard_j(c) == 5
@@ -178,7 +181,7 @@ def test_eberhard_counts_from_trials():
 
 def test_eberhard_counts_rejects_stray_labels():
     with pytest.raises(ValueError):
-        eberhard_counts([PairedTrial(2, 0, 1, 1)])
+        eberhard_counts(trials_of([(2, 0, 1, 1)]))
 
 
 def test_eberhard_counterfactual_row_bound_exhaustive():

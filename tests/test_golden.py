@@ -86,16 +86,13 @@ def write_event_pair(emissions: int = 400, seed: int = 3) -> None:
 
 @pytest.fixture(scope="module")
 def hashes(tmp_path_factory):
-    mp = pytest.MonkeyPatch()
-    mp.chdir(tmp_path_factory.mktemp("golden"))
-    try:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp_path_factory.mktemp("golden"))
         write_event_pair()
         for label, argv in COMMANDS.items():
             assert main(argv + ["--out", label]) == 0, label
         return {name: hashlib.sha256(open(name, "rb").read()).hexdigest()
                 for name in GOLDEN}
-    finally:
-        mp.undo()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -1,15 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from bell_lab.core import NO_COUNT, PairedTrial, RngStream, StationEvent
+from bell_lab.core import NO_COUNT, Events, PairedTrial, RngStream, Trials
 from bell_lab.pairing import (UNPAIRED_SETTING, covariance, pair_random,
                               pair_systematic, pair_time_window)
 
 
+def events_of(*rows):
+    """Events from (window, setting, outcome) rows."""
+    return Events(*np.array(rows, dtype=np.int64).reshape(-1, 3).T)
+
+
+def trials_of(*rows):
+    """Trials from (setting_a, setting_b, a, b) rows."""
+    return Trials(*np.array(rows, dtype=np.int64).reshape(-1, 4).T)
+
+
 def alternating_streams(na=1000, nb=1003):
     # side A outcomes -1,+1,-1,...; side B outcomes +1,-1,+1,...
-    ea = [StationEvent(i, 0, -1 if i % 2 == 0 else 1) for i in range(na)]
-    eb = [StationEvent(i, 0, 1 if i % 2 == 0 else -1) for i in range(nb)]
+    ea = events_of(*((i, 0, -1 if i % 2 == 0 else 1) for i in range(na)))
+    eb = events_of(*((i, 0, 1 if i % 2 == 0 else -1) for i in range(nb)))
     return ea, eb
 
 
@@ -33,22 +44,22 @@ def test_systematic_length_rule():
     ea, eb = alternating_streams(5, 3)
     assert len(pair_systematic(ea, eb, 1)) == 3
     assert len(pair_systematic(ea, eb, 2)) == 2
-    assert pair_systematic(ea, eb, 4) == []
+    assert list(pair_systematic(ea, eb, 4)) == []
     with pytest.raises(ValueError):
         pair_systematic(ea, eb, 0)
 
 
 def test_systematic_carries_settings_through():
-    ea = [StationEvent(0, 7, 1)]
-    eb = [StationEvent(0, 9, -1)]
-    assert pair_systematic(ea, eb, 1) == [PairedTrial(7, 9, 1, -1)]
+    ea = events_of((0, 7, 1))
+    eb = events_of((0, 9, -1))
+    assert list(pair_systematic(ea, eb, 1)) == [PairedTrial(7, 9, 1, -1)]
 
 
 # ---------------------------------------------------------------------------
 # random index pairing
 
 def label_by_index(n):
-    return [StationEvent(i, i, 1) for i in range(n)]
+    return events_of(*((i, i, 1) for i in range(n)))
 
 
 def test_random_pairing_respects_order_constraint():
@@ -74,12 +85,12 @@ def test_random_pairing_uniform_over_allowed_pairs():
 def test_random_pairing_edge_cases():
     ea, eb = label_by_index(4), label_by_index(4)
     gen = RngStream(2)
-    assert pair_random(ea, eb, 0, gen.generator()) == []
+    assert list(pair_random(ea, eb, 0, gen.generator())) == []
     t1 = pair_random(ea, eb, 50, gen.generator())
     t2 = pair_random(ea, eb, 50, gen.generator())
-    assert t1 == t2
+    assert list(t1) == list(t2)
     with pytest.raises(ValueError):
-        pair_random([], eb, 5, gen.generator())
+        pair_random(events_of(), eb, 5, gen.generator())
     with pytest.raises(ValueError):
         pair_random(ea, eb, -1, gen.generator())
 
@@ -88,14 +99,14 @@ def test_random_pairing_edge_cases():
 # time-window matching
 
 def ev(w, outcome=1, setting=0):
-    return StationEvent(w, setting, outcome)
+    return (w, setting, outcome)
 
 
 def test_window_matching_hand_example():
-    ea = [ev(0, 1), ev(10, -1), ev(20, 1)]
-    eb = [ev(1, -1), ev(9, 1), ev(100, -1)]
+    ea = events_of(ev(0, 1), ev(10, -1), ev(20, 1))
+    eb = events_of(ev(1, -1), ev(9, 1), ev(100, -1))
     trials = pair_time_window(ea, eb, 2.0)
-    assert trials == [
+    assert list(trials) == [
         PairedTrial(0, 0, 1, -1),              # windows 0 and 1
         PairedTrial(0, 0, -1, 1),              # windows 10 and 9
         PairedTrial(0, UNPAIRED_SETTING, 1, NO_COUNT),    # lone A at 20
@@ -105,16 +116,16 @@ def test_window_matching_hand_example():
 
 def test_window_matching_is_greedy():
     # the A event takes the earliest candidate even when a later one is closer
-    ea = [ev(1.0, 1)]
-    eb = [ev(0.2, -1), ev(1.0, 1)]
-    trials = pair_time_window(ea, eb, 1.0)
+    ea = events_of(ev(5, 1))
+    eb = events_of(ev(3, -1), ev(5, 1))
+    trials = pair_time_window(ea, eb, 3.0)
     assert trials[0] == PairedTrial(0, 0, 1, -1)
     assert trials[1] == PairedTrial(UNPAIRED_SETTING, 0, NO_COUNT, 1)
 
 
 def test_window_bound_is_strict():
-    ea = [ev(0.0, 1)]
-    eb = [ev(2.0, -1)]
+    ea = events_of(ev(0, 1))
+    eb = events_of(ev(2, -1))
     trials = pair_time_window(ea, eb, 2.0)
     assert all(not t.coincident for t in trials)
     assert len(trials) == 2
@@ -123,35 +134,73 @@ def test_window_bound_is_strict():
 def test_window_tie_orders_matched_trial_first():
     # the matched trial is keyed by its earliest member (the B at 5), so
     # it ties with the leftover B at 5 and wins the tiebreak
-    ea = [ev(6, 1)]
-    eb = [ev(5, -1, setting=1), ev(5, 1, setting=2)]
+    ea = events_of(ev(6, 1))
+    eb = events_of(ev(5, -1, setting=1), ev(5, 1, setting=2))
     trials = pair_time_window(ea, eb, 2.0)
-    assert trials == [PairedTrial(0, 1, 1, -1),
+    assert list(trials) == [PairedTrial(0, 1, 1, -1),
                       PairedTrial(UNPAIRED_SETTING, 2, NO_COUNT, 1)]
+
+
+def reference_time_window(ea, eb, width):
+    """The record-by-record greedy merge the column version must equal."""
+    ea = sorted(ea, key=lambda e: e.window_index)
+    eb = sorted(eb, key=lambda e: e.window_index)
+    keyed, j, matched_b = [], 0, [False] * len(eb)
+    for a in ea:
+        while j < len(eb) and eb[j].window_index <= a.window_index - width:
+            j += 1
+        if j < len(eb) and abs(eb[j].window_index - a.window_index) < width:
+            b = eb[j]
+            matched_b[j] = True
+            j += 1
+            keyed.append((min(a.window_index, b.window_index), 0,
+                          PairedTrial(a.setting_label, b.setting_label,
+                                      a.outcome, b.outcome)))
+        else:
+            keyed.append((a.window_index, 0,
+                          PairedTrial(a.setting_label, UNPAIRED_SETTING,
+                                      a.outcome, NO_COUNT)))
+    for k, b in enumerate(eb):
+        if not matched_b[k]:
+            keyed.append((b.window_index, 1,
+                          PairedTrial(UNPAIRED_SETTING, b.setting_label,
+                                      NO_COUNT, b.outcome)))
+    keyed.sort(key=lambda kt: (kt[0], kt[1]))
+    return [t for _, _, t in keyed]
+
+
+event_rows = st.lists(st.tuples(st.integers(0, 40), st.integers(0, 1),
+                                st.sampled_from((1, -1, 0))), max_size=30)
+
+
+@given(event_rows, event_rows, st.sampled_from((0.5, 1, 1.5, 2, 3, 7.25)))
+def test_window_matching_equals_the_record_merge(rows_a, rows_b, width):
+    ea, eb = events_of(*rows_a), events_of(*rows_b)
+    want = reference_time_window(list(ea), list(eb), width)
+    assert list(pair_time_window(ea, eb, width)) == want
 
 
 def test_window_validation():
     with pytest.raises(ValueError):
-        pair_time_window([], [], 0.0)
+        pair_time_window(events_of(), events_of(), 0.0)
 
 
 # ---------------------------------------------------------------------------
 # covariance
 
 def test_covariance_is_population_form():
-    trials = [PairedTrial(0, 0, 1, 1), PairedTrial(0, 0, -1, -1)]
+    trials = trials_of((0, 0, 1, 1), (0, 0, -1, -1))
     assert covariance(trials) == 1.0  # ddof=0: no n/(n-1) inflation
 
 
 def test_covariance_drops_no_counts_by_default():
-    trials = [PairedTrial(0, 0, 1, 1), PairedTrial(0, 0, -1, -1),
-              PairedTrial(0, 0, 0, 1)]
+    trials = trials_of((0, 0, 1, 1), (0, 0, -1, -1), (0, 0, 0, 1))
     assert covariance(trials) == 1.0
     assert covariance(trials, coincident_only=False) != 1.0
 
 
 def test_covariance_needs_two_usable_trials():
     with pytest.raises(ValueError):
-        covariance([PairedTrial(0, 0, 1, 1)])
+        covariance(trials_of((0, 0, 1, 1)))
     with pytest.raises(ValueError):
-        covariance([PairedTrial(0, 0, 0, 1), PairedTrial(0, 0, 0, -1)])
+        covariance(trials_of((0, 0, 0, 1), (0, 0, 0, -1)))
