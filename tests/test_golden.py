@@ -21,6 +21,14 @@ GOLDEN = {
         "cad6a81788268c4ff6b5343e2896bc56ffd7a21fdc8e04faaf4693e5b3e1812d",
     "simulate/trials.csv":
         "b56fd17db05ea5c59bfe7c99b17bc51ce348eb21e337a0c20f8d9efc9bd1e5a3",
+    "singlet/trials.csv":
+        "d048e28f51b74d813dabf19e47f33df5390036eaf625db0f6af8daf0e0529a4d",
+    "singlet/summary.json":
+        "25e9c69b73dc932fbbe7013392d2e3c5f513814de829cd8e56e275c61ca1cb3c",
+    "smeared/trials.csv":
+        "77ee43b92db6175868215f3e7b094cfba0a38eb5c957a4a99c32d1342604d27c",
+    "smeared/summary.json":
+        "8f373d9efbefed8f2ae2d94f8f6fe60ed06eab6fbd28c34b22c11cbf0c06b941",
     "systematic/trials.csv":
         "325cffceaf6e9416e15fe2a91bfbe7ba2f6cf8e8029b3b228ab6720e0c017cf5",
     "random/trials.csv":
@@ -46,6 +54,11 @@ GOLDEN = {
 COMMANDS = {
     "simulate": ["simulate", "--model", "contextual", "--n", "500",
                  "--x", "1", "--y", "0", "--seed", "11"],
+    "singlet": ["simulate", "--model", "singlet", "--n", "500",
+                "--angles", "0,1.2", "--seed", "12"],
+    "smeared": ["simulate", "--model", "smeared", "--n", "500",
+                "--angles", "0.3,0.9", "--half-width-a", "0.4",
+                "--half-width-b", "0.2", "--seed", "13"],
     "systematic": ["pair", "--events-a", "a.csv", "--events-b", "b.csv",
                    "--pairing", "systematic:1"],
     "random": ["pair", "--events-a", "a.csv", "--events-b", "b.csv",
