@@ -18,16 +18,16 @@ import argparse
 import ast
 import csv
 import json
-import math
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, bellgame, estimators, pairing, randi, sources, stats
-from .core import (Events, RngStream, Trials, read_events, read_trials,
-                   write_events, write_trials)
+from . import (__version__, bellgame, claims, estimators, pairing, randi,
+               sources, stats)
+from .core import (Events, RngStream, Trials, _read_columns, read_events,
+                   read_trials, write_events, write_trials)
 
 CONFIG_ERROR = 2
 UNDEFINED_STAT = 3
@@ -127,64 +127,42 @@ def _csv_writer(header, rows):
     return write
 
 
-def _fixed_settings(label_a: int, label_b: int, a, b) -> Trials:
-    """Trials from outcome columns recorded at one setting per side."""
-    return Trials(np.full(len(a), label_a), np.full(len(b), label_b), a, b)
-
-
-def _parse_labels(value, name: str) -> tuple:
-    if isinstance(value, (tuple, list)):
-        parts = value
-    else:
-        parts = str(value).split(",")
+def _parse_two(value, kind, name: str) -> tuple:
+    """Two comma-separated values of kind; a config file may give a tuple."""
+    parts = value if isinstance(value, (tuple, list)) else str(value).split(",")
     try:
-        labels = tuple(int(v) for v in parts)
+        out = tuple(kind(str(v)) for v in parts)
     except ValueError:
-        raise _config_error(f"{name}: expected comma-separated integers")
-    if len(labels) != 2:
-        raise _config_error(f"{name}: expected exactly 2 labels")
-    return labels
+        out = ()
+    if len(out) != 2:
+        raise _config_error(f"{name}: expected two comma-separated "
+                            f"{kind.__name__} values")
+    return out
 
 
 # ---------------------------------------------------------------------------
 # simulate
-
-def _parse_angles(value) -> tuple:
-    if isinstance(value, (tuple, list)):
-        parts = value
-    else:
-        parts = str(value).split(",")
-    try:
-        angles = tuple(float(v) for v in parts)
-    except ValueError:
-        raise _config_error("--angles: expected two comma-separated floats")
-    if len(angles) != 2:
-        raise _config_error("--angles: expected exactly two angles")
-    return angles
-
 
 def cmd_simulate(args) -> int:
     n = args.n
     if n < 1:
         raise _config_error("--n must be >= 1")
     rng = _stream_of(args).generator()
-    theta_a, theta_b = _parse_angles(args.angles)
+    theta_a, theta_b = _parse_two(args.angles, float, "--angles")
+    label_a, label_b = args.label_a, args.label_b
     if args.model == "singlet":
         a, b = sources.singlet_pairs(theta_a, theta_b, n, rng)
-        label_a, label_b = args.label_a, args.label_b
     elif args.model == "smeared":
-        ja = sources.AngleJitter(theta_a, args.half_width_a,
-                                 args.jitter_weight)
-        jb = sources.AngleJitter(theta_b, args.half_width_b,
-                                 args.jitter_weight)
-        a, b = sources.smeared_pairs(ja, jb, n, rng)
-        label_a, label_b = args.label_a, args.label_b
+        weight = args.jitter_weight
+        a, b = sources.smeared_pairs(
+            sources.AngleJitter(theta_a, args.half_width_a, weight),
+            sources.AngleJitter(theta_b, args.half_width_b, weight), n, rng)
     else:
         params = sources.ContextualParams(gamma=args.gamma, tau0=args.tau0)
         a, b = sources.contextual_batch(args.x, args.y, n, params, rng)
         label_a, label_b = args.x, args.y
 
-    trials = _fixed_settings(label_a, label_b, a, b)
+    trials = Trials(np.full(n, label_a), np.full(n, label_b), a, b)
     events_a = Events(np.arange(n), trials.setting_a, trials.a)
     events_b = Events(np.arange(n), trials.setting_b, trials.b)
     results = {"correlation": estimators.correlation(trials),
@@ -246,8 +224,8 @@ def cmd_estimate(args) -> int:
     except (OSError, ValueError) as exc:
         raise _config_error(f"reading trials: {exc}")
     coincident_only = not args.include_no_counts
-    a_labels = _parse_labels(args.a_labels, "--a-labels")
-    b_labels = _parse_labels(args.b_labels, "--b-labels")
+    a_labels = _parse_two(args.a_labels, int, "--a-labels")
+    b_labels = _parse_two(args.b_labels, int, "--b-labels")
     undefined = False
 
     if args.stat == "correlation":
@@ -347,13 +325,6 @@ def cmd_qrc_vongher(args) -> int:
 # ---------------------------------------------------------------------------
 # bell game
 
-def _read_script(path) -> tuple:
-    with open(path, newline="") as fh:
-        rows = [tuple(int(v) for v in (r["i"], r["j"], r["x"], r["y"]))
-                for r in csv.DictReader(fh)]
-    return tuple(rows)
-
-
 def _game_strategy(args):
     if args.strategy == "fixed":
         return bellgame.FixedProgramStrategy(args.i, args.j)
@@ -366,9 +337,10 @@ def _game_strategy(args):
     script = bellgame.PERFECT_SCRIPT
     if args.script is not None:
         try:
-            script = _read_script(args.script)
-        except (OSError, KeyError, ValueError) as exc:
+            columns = _read_columns(args.script, ("i", "j", "x", "y"))
+        except (OSError, ValueError) as exc:
             raise _config_error(f"reading script: {exc}")
+        script = tuple(zip(*(c.tolist() for c in columns)))
     return bellgame.ScriptedStrategy(script)
 
 
@@ -460,199 +432,10 @@ def cmd_breakdown(args) -> int:
 # ---------------------------------------------------------------------------
 # reproduce
 
-def _check(name: str, measured, target, tol, passed: bool) -> dict:
-    flag = "ok" if passed else "FAIL"
-    print(f"[{flag}] {name}: measured={measured} target={target} tol={tol}")
-    return {"name": name, "measured": measured, "target": target,
-            "tol": tol, "passed": passed}
-
-
-def _rt_singlet(stream, threads):
-    rng = stream.generator()
-    n = 100_000
-    a, b = sources.singlet_pairs(0.0, math.pi / 4, n, rng)
-    e = estimators.correlation(_fixed_settings(0, 0, a, b))
-    target = -math.sqrt(2) / 2
-    yield _check("singlet-law", round(e, 5), round(target, 5), 0.01,
-                 abs(e - target) <= 0.01)
-    yield _check("singlet-marginal", round(float(np.mean(a)), 5), 0.0, 0.02,
-                 abs(float(np.mean(a))) <= 0.02)
-
-
-def _rt_smeared(stream, threads):
-    rng = stream.generator()
-    n = 200_000
-    w = math.pi / 8
-    a, b = sources.smeared_pairs(sources.AngleJitter(0.0, w),
-                                 sources.AngleJitter(0.0, w), n, rng)
-    e = estimators.correlation(_fixed_settings(0, 0, a, b))
-    target = -(math.sin(w) / w) ** 2
-    yield _check("smeared-law", round(e, 5), round(target, 5), 0.01,
-                 abs(e - target) <= 0.01)
-
-
-def _alternating(n: int, first: int) -> Events:
-    """n events at setting 0 whose outcomes alternate, starting at first."""
-    return Events(np.arange(n), np.zeros(n, dtype=np.int64),
-                  np.resize([first, -first], n))
-
-
-def _rt_pairing(stream, threads):
-    ea = _alternating(1000, -1)
-    eb = _alternating(1003, 1)
-    got = []
-    for k in (1, 2, 3, 4):
-        trials = pairing.pair_systematic(ea, eb, k)
-        got.append(pairing.covariance(trials))
-    target = [-1.0, 1.0, -1.0, 1.0]
-    yield _check("pairing-offsets", got, target, 0.0, got == target)
-    rng = stream.generator()
-    trials = pairing.pair_random(ea, eb, 100_000, rng)
-    cov = pairing.covariance(trials)
-    tol = 4.0 / math.sqrt(100_000)
-    yield _check("pairing-random", round(cov, 5), 0.0, round(tol, 5),
-                 abs(cov) <= tol)
-
-
-def _rt_spreadsheet(stream, threads):
-    rng = stream.generator()
-    worst = 0.0
-    for _ in range(200):
-        sheet = sources.generate_cfd_spreadsheet(10_000,
-                                                 sources.InstructionDist.uniform(),
-                                                 rng)
-        s = abs(int(sheet.row_combinations().sum())) / len(sheet)
-        worst = max(worst, s)
-    yield _check("spreadsheet-bound", round(worst, 5), "<= 2", 0.0, worst <= 2.0)
-
-
-def _rt_gill_uniform(stream, threads):
-    rep = randi.gill_campaign(sources.InstructionDist.uniform(), 3200, 1000,
-                              stream, threads)
-    bound = round(rep.qrc_bound, 4)
-    ok = rep.chsh_violation_rate <= rep.qrc_bound and rep.qrc_won is False
-    yield _check("gill-uniform", rep.chsh_violation_rate, f"<={bound}", 0.0, ok)
-
-
-def _rt_gill_boundary(stream, threads):
-    rep = randi.gill_campaign(sources.InstructionDist.positive_boundary(),
-                              3200, 1000, stream, threads)
-    ok = 0.40 <= rep.chsh_violation_rate <= 0.60 and rep.qrc_won is False
-    yield _check("gill-boundary", rep.chsh_violation_rate, 0.5, 0.1, ok)
-
-
-def _rt_vongher_strict(stream, threads):
-    rep = randi.vongher_campaign(sources.strict(), 1000, 800, stream, threads)
-    ok = rep.bell_violation_rate == 0.0 and rep.chsh_violation_rate == 0.0
-    yield _check("vongher-strict", (rep.bell_violation_rate,
-                 rep.chsh_violation_rate), (0.0, 0.0), 0.0, ok)
-
-
-def _rt_vongher_boundary(stream, threads):
-    rep = randi.vongher_campaign(sources.missing_pairs(), 1000, 800,
-                                 stream, threads)
-    yield _check("vongher-boundary", round(rep.bell_violation_rate, 3), 0.5,
-                 0.1, 0.40 <= rep.bell_violation_rate <= 0.60)
-
-
-def _rt_vongher_partial(stream, threads):
-    rep = randi.vongher_campaign(sources.partial_anticorr(0.87), 1000, 800,
-                                 stream, threads)
-    yield _check("vongher-partial", round(rep.bell_violation_rate, 3), 0.87,
-                 0.05, abs(rep.bell_violation_rate - 0.87) <= 0.05)
-
-
-def _rt_vongher_quantum(stream, threads):
-    rep = randi.vongher_campaign(randi.QUANTUM_SOURCE, 1000, 800,
-                                 stream, threads)
-    yield _check("vongher-quantum-bell", round(rep.bell_violation_rate, 3),
-                 0.91, 0.05, abs(rep.bell_violation_rate - 0.91) <= 0.05)
-    yield _check("vongher-quantum-chsh", round(rep.chsh_violation_rate, 3),
-                 0.99, 0.03, abs(rep.chsh_violation_rate - 0.99) <= 0.03)
-
-
-def _rt_bellgame(stream, threads):
-    table = bellgame.counterfactual_table()
-    best = max(r.score for r in table)
-    yield _check("bellgame-table-max", best, 3, 0, best == 3)
-    rng = stream.child(0).generator()
-    res = bellgame.play_game(bellgame.ScriptedStrategy(bellgame.PERFECT_SCRIPT),
-                             4, rng)
-    yield _check("bellgame-script", res.points, 4, 0, res.points == 4)
-    rng = stream.child(1).generator()
-    res = bellgame.play_game(bellgame.RandomProgramStrategy(), 100_000, rng)
-    yield _check("bellgame-random", round(res.avg_score, 4), 2.0, 0.05,
-                 abs(res.avg_score - 2.0) <= 0.05)
-    rng = stream.child(2).generator()
-    res = bellgame.play_game(bellgame.QuantumStrategy(), 100_000, rng)
-    target = 2.0 + math.sqrt(2)
-    yield _check("bellgame-quantum", round(res.avg_score, 4), round(target, 4),
-                 0.05, abs(res.avg_score - target) <= 0.05)
-
-
-def _rt_contextual(stream, threads):
-    rng = stream.generator()
-    params = sources.ContextualParams()
-    n = 200_000
-    terms = {}
-    coinc = []
-    for x in (0, 1):
-        for y in (0, 1):
-            a, b = sources.contextual_batch(x, y, n, params, rng)
-            trials = _fixed_settings(x, y, a, b)
-            terms[(x, y)] = estimators.correlation(trials)
-            coinc.append(int(trials.coincident.sum()) / n)
-    s = terms[(0, 0)] + terms[(0, 1)] + terms[(1, 0)] - terms[(1, 1)]
-    yield _check("contextual-chsh", round(s, 4), 3.9099, 0.05,
-                 abs(s - 3.9099) <= 0.05)
-    rate = sum(coinc) / 4
-    yield _check("contextual-coincidence", round(rate, 4), 0.25, 0.02,
-                 abs(rate - 0.25) <= 0.02)
-
-
-def _rt_chebyshev(stream, threads):
-    r = stats.chebyshev_confidence(2.0, 1.0, 0.0)
-    yield _check("chebyshev-2sem", r.confidence, 0.75, 0.0,
-                 r.confidence == 0.75)
-    r = stats.chebyshev_confidence(2.0, 2.0 / 44.72135955, 0.0)
-    yield _check("chebyshev-45sem", round(r.confidence, 5), ">=0.9995", 0.0,
-                 r.confidence >= 0.9995)
-
-
-def _rt_breakdown(stream, threads):
-    report = stats.breakdown_demo(stream=stream, threads=threads)
-    n100 = report.n_rejecting(100.0)
-    yield _check("breakdown-per-run", n100, ">=3", 0, n100 >= 3)
-    yield _check("breakdown-pooled", round(abs(report.pooled.z), 3), "<2", 0,
-                 abs(report.pooled.z) < 2.0)
-    p = report.homogeneity["chi_square"].p_value
-    yield _check("breakdown-homogeneity", p, "<1e-6", 0, p < 1e-6)
-
-
-REPRODUCE_TARGETS = {
-    "singlet": _rt_singlet,
-    "smeared": _rt_smeared,
-    "pairing": _rt_pairing,
-    "spreadsheet": _rt_spreadsheet,
-    "gill-uniform": _rt_gill_uniform,
-    "gill-boundary": _rt_gill_boundary,
-    "vongher-strict": _rt_vongher_strict,
-    "vongher-boundary": _rt_vongher_boundary,
-    "vongher-partial": _rt_vongher_partial,
-    "vongher-quantum": _rt_vongher_quantum,
-    "bellgame": _rt_bellgame,
-    "contextual": _rt_contextual,
-    "chebyshev": _rt_chebyshev,
-    "breakdown": _rt_breakdown,
-}
-
-
 def cmd_reproduce(args) -> int:
-    names = list(REPRODUCE_TARGETS) if args.target == "all" else [args.target]
-    checks = []
-    for k, name in enumerate(names):
-        stream = RngStream(args.seed, (args.stream, k))
-        checks.extend(REPRODUCE_TARGETS[name](stream, args.threads))
+    names = list(claims.TARGETS) if args.target == "all" else [args.target]
+    checks = [c for name in names
+              for c in claims.run(name, args.seed, args.stream, args.threads)]
     n_pass = sum(1 for c in checks if c["passed"])
     results = {"checks": checks, "passed": n_pass, "total": len(checks)}
     _emit(args, {"n_targets": len(names)}, results)
@@ -782,11 +565,34 @@ def build_parser():
 
     sp = sub.add_parser("reproduce", help="re-derive the headline numbers")
     sp.add_argument("--target", default="all",
-                    choices=("all",) + tuple(REPRODUCE_TARGETS))
+                    choices=("all",) + tuple(claims.TARGETS))
     _add_common(sp, threads=True)
     sp.set_defaults(func=cmd_reproduce)
 
     return parser, sub
+
+
+def _config_defaults(cmd: str, parser, config: dict) -> dict:
+    """Config values through each flag's type and choices, as argparse
+    treats the flag itself; keys that are no flag of cmd are an error."""
+    actions = {a.dest: a for a in parser._actions}
+    bad = sorted(set(config) - set(actions))
+    if bad:
+        raise _config_error(f"config keys not understood by {cmd}: "
+                            f"{', '.join(bad)}")
+    out = {}
+    for key, value in config.items():
+        action = actions[key]
+        if action.type is not None:
+            try:
+                value = action.type(str(value))
+            except ValueError as exc:
+                raise _config_error(f"config {key}: {exc}")
+        if action.choices is not None and value not in action.choices:
+            raise _config_error(f"config {key}: {value!r} is not one of "
+                                f"{', '.join(map(str, action.choices))}")
+        out[key] = value
+    return out
 
 
 def main(argv=None) -> int:
@@ -798,18 +604,12 @@ def main(argv=None) -> int:
         pre.add_argument("--config")
         known, _ = pre.parse_known_args(argv)
         if known.config:
+            chosen = sub.choices[cmd]
             try:
                 config = _load_config(known.config)
+                chosen.set_defaults(**_config_defaults(cmd, chosen, config))
             except _ConfigError as exc:
                 return exc.code
-            chosen = sub.choices[cmd]
-            valid = {a.dest for a in chosen._actions}
-            bad = sorted(set(config) - valid)
-            if bad:
-                print(f"error: config keys not understood by {cmd}: "
-                      f"{', '.join(bad)}", file=sys.stderr)
-                return CONFIG_ERROR
-            chosen.set_defaults(**config)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

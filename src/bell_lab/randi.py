@@ -23,13 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MINUS, NO_COUNT, PLUS, RngStream, Trials, run_indexed
+from .core import NO_COUNT, RngStream, Trials, run_indexed
 from .estimators import (BellCounterResult, ChshEstimate, CounterChsh,
                          CounterSet, bell_counter_test, chsh,
                          chsh_from_counters, vongher_counters)
 from .sources import (SETTINGS_A, SETTINGS_B, BallTable, BallVariant,
                       InstructionDist, Spreadsheet4, generate_cfd_spreadsheet,
-                      generate_tennis_balls)
+                      generate_tennis_balls, singlet_pairs)
 
 CHSH_BOUND = 2.0
 
@@ -154,22 +154,6 @@ def measure_balls(table: BallTable, setting_a, setting_b):
     return a, b
 
 
-def quantum_ball_outcomes(setting_a, setting_b, rng: np.random.Generator):
-    """Singlet statistics at the protocol angles (label times pi/8).
-
-    Draw order: side-A signs, then the per-pair agreement draws.
-    """
-    setting_a = np.asarray(setting_a)
-    setting_b = np.asarray(setting_b)
-    delta = (setting_a - setting_b) * VONGHER_ANGLE_UNIT
-    p_anti = (1.0 + np.cos(delta)) / 2.0
-    n = setting_a.size
-    a = rng.choice(np.array([PLUS, MINUS], dtype=np.int8), size=n)
-    flip = rng.random(n) < p_anti
-    b = np.where(flip, -a, a).astype(np.int8)
-    return a, b
-
-
 @dataclass(frozen=True)
 class VongherRun:
     """One run's counters plus both verdicts."""
@@ -191,12 +175,13 @@ def vongher_trials(source, n_pairs: int, rng: np.random.Generator) -> Trials:
     """Draw one run of the ball protocol as trials.
 
     source is a BallVariant, or the string "quantum" for a singlet
-    source measured at the protocol angles.  Draw order: settings for
-    both sides, then the source's own draws.
+    source measured at the protocol angles (label times pi/8).  Draw
+    order: settings for both sides, then the source's own draws.
     """
     sa, sb = draw_vongher_settings(n_pairs, rng)
     if source == QUANTUM_SOURCE:
-        a, b = quantum_ball_outcomes(sa, sb, rng)
+        a, b = singlet_pairs(sa * VONGHER_ANGLE_UNIT, sb * VONGHER_ANGLE_UNIT,
+                             n_pairs, rng)
     elif isinstance(source, BallVariant):
         table = generate_tennis_balls(n_pairs, source, rng)
         a, b = measure_balls(table, sa, sb)

@@ -44,24 +44,19 @@ def singlet_prob(a: int, b: int, delta: float) -> float:
     return (1.0 - a * b * math.cos(delta)) / 4.0
 
 
-def singlet_pairs(theta_a: float, theta_b: float, n: int,
-                  rng: np.random.Generator):
-    """Sample n outcome pairs at fixed angles; returns (a, b) int8 arrays.
+def singlet_pairs(theta_a, theta_b, n: int, rng: np.random.Generator):
+    """Sample n outcome pairs; returns (a, b) int8 arrays.
 
-    Draw order per batch: side-A signs first, then the agreement draws
-    for side B.  P(b = -a) = (1 + cos(theta_a - theta_b)) / 2.
+    theta_a and theta_b are analyzer angles, each a scalar or an array of
+    n per-pair angles.  Draw order per batch: side-A signs first, then
+    the agreement draws for side B.  P(b = -a) = (1 + cos(theta_a -
+    theta_b)) / 2.
     """
-    p_anti = (1.0 + math.cos(theta_a - theta_b)) / 2.0
+    p_anti = (1.0 + np.cos(np.subtract(theta_a, theta_b))) / 2.0
     a = rng.choice(np.array([PLUS, MINUS], dtype=np.int8), size=n)
     flip = rng.random(n) < p_anti
     b = np.where(flip, -a, a).astype(np.int8)
     return a, b
-
-
-def sample_singlet_pair(theta_a: float, theta_b: float,
-                        rng: np.random.Generator) -> tuple[int, int]:
-    a, b = singlet_pairs(theta_a, theta_b, 1, rng)
-    return int(a[0]), int(b[0])
 
 
 # ---------------------------------------------------------------------------
@@ -109,20 +104,12 @@ def smeared_pairs(jitter_a: AngleJitter, jitter_b: AngleJitter, n: int,
                   rng: np.random.Generator):
     """Singlet pairs through jittered analyzers; returns (a, b) int8 arrays.
 
-    Draw order: side-A orientations, side-B orientations, then the
-    singlet draws at the realized per-pair differences.  With both
-    half-widths zero this consumes the stream exactly like
-    singlet_pairs, so the records coincide draw for draw.
+    Draw order: side-A orientations, side-B orientations, then
+    singlet_pairs at the realized per-pair angles.  A zero half-width
+    draws nothing, so with both half-widths zero the records coincide
+    with singlet_pairs' draw for draw.
     """
-    if jitter_a.half_width == 0.0 and jitter_b.half_width == 0.0:
-        return singlet_pairs(jitter_a.center, jitter_b.center, n, rng)
-    ta = jitter_a.draw(n, rng)
-    tb = jitter_b.draw(n, rng)
-    p_anti = (1.0 + np.cos(ta - tb)) / 2.0
-    a = rng.choice(np.array([PLUS, MINUS], dtype=np.int8), size=n)
-    flip = rng.random(n) < p_anti
-    b = np.where(flip, -a, a).astype(np.int8)
-    return a, b
+    return singlet_pairs(jitter_a.draw(n, rng), jitter_b.draw(n, rng), n, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,8 @@ class HomogeneityResult:
 
 
 def _chi_square_parts(values: np.ndarray, n_parts: int) -> HomogeneityResult:
+    if n_parts < 2:
+        raise ValueError("the chi_square variant compares at least 2 parts")
     size = values.size // n_parts
     if size == 0:
         raise ValueError("fewer values than parts")
@@ -160,17 +162,18 @@ def runs_test(values) -> HomogeneityResult:
     """Wald-Wolfowitz runs test around the median, normal approximation.
 
     Values equal to the median are dropped.  A sequence stuck on one
-    side is reported as uninformative (p = 1) rather than an error.
+    side, or too short for the run count to vary, is reported as
+    uninformative (p = 1) rather than an error.
     """
     arr = np.asarray(values, dtype=float)
     med = float(np.median(arr))
     signs = arr[arr != med] > med
     n1 = int(signs.sum())
     n2 = int(signs.size - n1)
-    if n1 == 0 or n2 == 0:
+    if n1 == 0 or n2 == 0 or n1 == n2 == 1:  # n1 = n2 = 1: always two runs
+        note = "too few values" if n1 * n2 else "one-sided sequence"
         return HomogeneityResult("runs", 0.0, 1.0,
-                                 {"note": "one-sided sequence",
-                                  "n_above": n1, "n_below": n2})
+                                 {"note": note, "n_above": n1, "n_below": n2})
     r = 1 + int(np.sum(signs[1:] != signs[:-1]))
     n = n1 + n2
     mean_r = 1.0 + 2.0 * n1 * n2 / n
@@ -263,13 +266,16 @@ def default_breakdown_spec() -> DriftingDeviceSpec:
 
 @dataclass(frozen=True)
 class RunStat:
-    """One run's view of the statistic x = null_margin under study."""
+    """One run's view of the statistic x = null_margin under study.
+
+    z is None when the run shows no spread at all (sem = 0).
+    """
 
     run: int
     n: int
     mean: float
     sem: float
-    z: float
+    z: float | None
 
 
 @dataclass(frozen=True)
@@ -286,7 +292,8 @@ class BreakdownReport:
     symbol_counts: tuple
 
     def n_rejecting(self, threshold: float = 100.0) -> int:
-        return sum(1 for r in self.per_run if r.z < -threshold)
+        return sum(1 for r in self.per_run
+                   if r.z is not None and r.z < -threshold)
 
     def to_dict(self) -> dict:
         return {
@@ -303,13 +310,14 @@ class BreakdownReport:
         }
 
 
-def _moments_from_counts(counts: np.ndarray, margins: np.ndarray):
+def _run_stat(run: int, counts: np.ndarray, margins: np.ndarray) -> RunStat:
     n = int(counts.sum())
     s1 = float(np.dot(counts, margins))
     s2 = float(np.dot(counts, margins ** 2))
     mean = s1 / n
     var = (s2 - n * mean ** 2) / (n - 1)
-    return n, mean, math.sqrt(max(var, 0.0) / n)
+    se = math.sqrt(max(var, 0.0) / n)
+    return RunStat(run, n, mean, se, mean / se if se > 0 else None)
 
 
 def breakdown_demo(spec: DriftingDeviceSpec | None = None, runs: int = 100,
@@ -335,13 +343,9 @@ def breakdown_demo(spec: DriftingDeviceSpec | None = None, runs: int = 100,
         return np.bincount(symbols, minlength=n_symbols)
 
     counts = run_indexed(one, runs, threads)
-    per_run = []
-    for i, c in enumerate(counts):
-        n, mean, se = _moments_from_counts(c, margins)
-        per_run.append(RunStat(i, n, mean, se, mean / se))
+    per_run = [_run_stat(i, c, margins) for i, c in enumerate(counts)]
     pooled_counts = np.sum(counts, axis=0)
-    n, mean, se = _moments_from_counts(pooled_counts, margins)
-    pooled = RunStat(-1, n, mean, se, mean / se)
+    pooled = _run_stat(-1, pooled_counts, margins)
 
     half = runs // 2
     half_counts = np.array([np.sum(counts[:half], axis=0),

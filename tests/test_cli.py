@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bell_lab.cli import main
 import numpy as np
@@ -186,6 +189,26 @@ def test_config_unknown_key_fails_fast(capsys, tmp_path):
     assert "rows" in capsys.readouterr().err
 
 
+def test_config_values_go_through_the_flag_converters(capsys, tmp_path):
+    cfg = tmp_path / "ok.cfg"
+    cfg.write_text('runs = 3\npairs = 20\nvariant = "quantum"\n')
+    code, payload, _ = run(capsys, "qrc-vongher", "--config", str(cfg))
+    assert code == 0 and payload["config"]["variant"] == "quantum"
+    assert payload["results"]["runs"] == 3
+    cfg.write_text("angles = 0,0.785\nn = 10\n")
+    code, payload, _ = run(capsys, "simulate", "--model", "singlet",
+                           "--config", str(cfg))
+    assert code == 0 and payload["sizes"]["n"] == 10
+    for command, line in (("qrc-gill", "runs = 1.5"),
+                          ("qrc-vongher", "variant = bogus"),
+                          ("simulate", "jitter-weight = 'flat'")):
+        cfg.write_text(line + "\n")
+        argv = [command, "--config", str(cfg)]
+        if command == "simulate":
+            argv += ["--model", "smeared"]
+        assert_one_line_error(capsys, argv, line.split()[0].replace("-", "_"))
+
+
 def test_config_syntax_and_missing_file(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("just some words\n")
@@ -270,6 +293,9 @@ def test_homogeneity_input_errors(capsys, tmp_path):
     simulate_into(capsys, tmp_path)
     assert main(["homogeneity", "--input", str(tmp_path / "events_a.csv"),
                  "--method", "ks", "--bins", "100000"]) == 2
+    for parts in ("0", "1"):
+        assert main(["homogeneity", "--input", str(tmp_path / "events_a.csv"),
+                     "--bins", "0", "--parts", parts]) == 2
 
 
 def test_breakdown_with_spec_file(capsys, tmp_path):
@@ -283,6 +309,18 @@ def test_breakdown_with_spec_file(capsys, tmp_path):
     assert payload["results"]["runs"] == 4
     assert abs(payload["results"]["pooled"]["z"]) < 6
     assert payload["results"]["homogeneity"]["chi_square"]["p_value"] < 1e-6
+
+
+def test_breakdown_run_without_spread_has_undefined_z(capsys, tmp_path):
+    # every run emits one certain symbol, so each sem is 0
+    spec = tmp_path / "dev.cfg"
+    spec.write_text("values = 0,2\nregimes = 0:2:1,0;2:4:1,0\n")
+    code, payload, _ = run(capsys, "breakdown", "--spec", str(spec),
+                           "--runs", "4", "--run-len", "100")
+    assert code == 0
+    res = payload["results"]
+    assert [r["z"] for r in res["per_run"]] == [None] * 4
+    assert res["pooled"]["z"] is None and res["n_rejecting_100_sem"] == 0
 
 
 def test_breakdown_spec_mismatch(capsys):
@@ -358,6 +396,17 @@ def test_estimate_rejects_malformed_trials(capsys, tmp_path, case):
                                    "--stat", "chsh"])
 
 
+@pytest.mark.parametrize("case", ["short-row", "missing-column", "non-integer"])
+def test_bellgame_rejects_malformed_script(capsys, tmp_path, case):
+    bad = tmp_path / "script.csv"
+    bad.write_text({"short-row": "i,j,x,y\n1,1,0\n",
+                    "missing-column": "i,j,x\n1,1,0\n",
+                    "non-integer": "i,j,x,y\n1,1,0,z\n"}[case])
+    assert_one_line_error(capsys, ["bellgame", "--strategy", "scripted",
+                                   "--script", str(bad), "--rounds", "4"],
+                          "reading script")
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--model", "contextual", "--x", "-1", "--n", "10"],
     ["simulate", "--model", "contextual", "--y", "2", "--n", "10"],
@@ -368,3 +417,97 @@ def test_estimate_rejects_malformed_trials(capsys, tmp_path, case):
 ])
 def test_out_of_domain_parameters_exit_2(capsys, argv):
     assert_one_line_error(capsys, argv)
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: any argv ends in a defined exit code, never a traceback
+
+EDGE = ("-1", "0", "1", "2", "1.5", "abc", "")
+
+
+def edge():
+    return st.sampled_from(EDGE)
+
+
+def opt(name, values, always=False):
+    """argv fragment for one option; values None marks a switch."""
+    flag = "--" + name.replace("_", "-")
+    if values is None:
+        return st.sampled_from(([], [flag]))
+    present = values.map(lambda v: [flag, v])
+    return present if always else st.one_of(st.just([]), present)
+
+
+def command(name, always=(), threads=False, **options):
+    """argv for one subcommand.  Options named in always are always given:
+    every size is, so that no default size runs a long campaign."""
+    options.update(seed=edge(), stream=edge())
+    if threads:
+        options["threads"] = edge()
+    parts = [opt(k, v, k in always) for k, v in options.items()]
+    return st.tuples(*parts).map(
+        lambda ps: [name] + [tok for p in ps for tok in p])
+
+
+FILES = st.sampled_from(("events.csv", "trials.csv", "script.csv",
+                         "short.csv", "absent.csv"))
+FUZZ_ARGV = st.one_of(
+    command("simulate", ("model", "n"), n=edge(),
+            model=st.sampled_from(("singlet", "smeared", "contextual", "x")),
+            angles=st.sampled_from(("0,1", "1", "a,b", "", "0,1,2")),
+            half_width_a=edge(), half_width_b=edge(), x=edge(), y=edge(),
+            gamma=edge(), tau0=edge(), label_a=edge()),
+    command("pair", ("events_a", "events_b", "pairing"),
+            events_a=FILES, events_b=FILES,
+            pairing=st.sampled_from(("systematic:1", "random:2", "window:1",
+                                     "window:-1", "random:-1", "window", "x:1"))),
+    command("estimate", ("input", "stat"), input=FILES,
+            stat=st.sampled_from(("correlation", "covariance", "chsh",
+                                  "counter-chsh", "bell-counter", "eberhard")),
+            a_labels=st.sampled_from(("0,1", "1", "a,b")),
+            include_no_counts=None, strict=None),
+    command("qrc-gill", ("rows", "runs"), True, rows=edge(), runs=edge(),
+            generator=st.sampled_from(("uniform", "positive-boundary",
+                                       "point-mass:1,1", "x"))),
+    command("qrc-vongher", ("pairs", "runs"), True, pairs=edge(), runs=edge(),
+            variant=st.sampled_from(("strict", "missing-pairs",
+                                     "partial-anticorr", "quantum")),
+            q=edge(), p_a3_flip=edge(), p_drop=edge()),
+    command("bellgame", ("strategy", "rounds"), rounds=edge(),
+            strategy=st.sampled_from(("fixed", "random", "scripted",
+                                      "contextual", "quantum")),
+            i=edge(), j=edge(), wobble=edge(), script=FILES),
+    command("homogeneity", ("input",), input=FILES,
+            column=st.sampled_from(("outcome", "setting_label")),
+            method=st.sampled_from(("chi_square", "ks", "runs", "all")),
+            parts=edge(), bins=edge(), per_setting=None),
+    command("breakdown", ("runs", "run_len"), True, runs=edge(),
+            run_len=edge(), spec=st.sampled_from(("spec.cfg", "absent.cfg"))),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "events.csv").write_text(
+        "window_index,setting_label,outcome\n0,0,1\n1,1,-1\n2,0,0\n3,1,1\n")
+    (d / "trials.csv").write_text(
+        "setting_a,setting_b,a,b\n0,0,1,-1\n0,1,1,1\n1,0,-1,0\n1,1,1,1\n")
+    (d / "script.csv").write_text("i,j,x,y\n1,1,0,0\n2,2,0,1\n")
+    (d / "short.csv").write_text("i,j,x,y\n1,1,0\n")
+    (d / "spec.cfg").write_text("values = 0,2\nregimes = 0:1:1,0;1:2:0.5,0.5\n")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(d)
+        yield d
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=FUZZ_ARGV)
+def test_argv_fuzz_exits_cleanly(fuzz_dir, argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

@@ -7,8 +7,8 @@ from bell_lab.core import RngStream
 from bell_lab.estimators import vongher_counters
 from bell_lab.randi import (CHSH_BOUND, CampaignReport, draw_vongher_settings,
                             gill_campaign, gill_subsample, measure_balls,
-                            qrc_win_bound, quantum_ball_outcomes,
-                            vongher_campaign, vongher_run, vongher_trials)
+                            QUANTUM_SOURCE, qrc_win_bound, vongher_campaign,
+                            vongher_run, vongher_trials)
 from bell_lab.sources import (BallTable, InstructionDist, generate_cfd_spreadsheet,
                               generate_tennis_balls, missing_pairs,
                               partial_anticorr, strict)
@@ -100,16 +100,19 @@ def test_measure_balls_bit_mapping():
 
 def test_quantum_outcomes_anticorrelated_at_equal_settings():
     n = 2000
-    a, b = quantum_ball_outcomes(np.zeros(n, dtype=int), np.zeros(n, dtype=int),
-                                 rng(10))
-    assert np.array_equal(b, -a)
+    t = vongher_trials(QUANTUM_SOURCE, n, rng(10))
+    same = t.setting_a == t.setting_b
+    assert same.any() and np.array_equal(t.b[same], -t.a[same])
 
 
 def test_quantum_outcomes_follow_protocol_angles():
-    n = 40_000
-    tol = 4.0 / math.sqrt(n)
-    a, b = quantum_ball_outcomes(np.full(n, 3), np.full(n, 2), rng(11))
-    assert abs(np.mean(a * b) + math.cos(math.pi / 8)) < tol
+    t = vongher_trials(QUANTUM_SOURCE, 160_000, rng(11))
+    for x in (0, 3):
+        for y in (0, 2):
+            cell = (t.setting_a == x) & (t.setting_b == y)
+            tol = 4.0 / math.sqrt(cell.sum())
+            e = np.mean(t.a[cell] * t.b[cell])
+            assert abs(e + math.cos((x - y) * math.pi / 8)) < tol
 
 
 def test_strict_run_never_equal_at_d0():

@@ -10,8 +10,8 @@ from bell_lab.sources import (ATOMS, AngleJitter, BallVariant, ContextualParams,
                               InstructionDist, Spreadsheet4, contextual_batch,
                               generate_cfd_spreadsheet, generate_tennis_balls,
                               missing_pairs, partial_anticorr, row_combination,
-                              sample_singlet_pair, singlet_pairs, singlet_prob,
-                              smeared_pairs, strict)
+                              singlet_pairs, singlet_prob, smeared_pairs,
+                              strict)
 
 # value of -(sin(w)/w)^2 at w = pi/8: the aligned-analyzer correlation
 # under uniform orientation jitter of half-width w on both sides,
@@ -73,9 +73,14 @@ def test_singlet_pairs_matches_law():
         assert abs(np.mean(b)) < tol
 
 
-def test_sample_singlet_pair_values():
-    a, b = sample_singlet_pair(0.0, 1.0, rng())
-    assert a in (1, -1) and b in (1, -1)
+def test_singlet_pairs_per_pair_angles_match_scalar_angles():
+    a0, b0 = singlet_pairs(0.0, 1.0, 300, rng(5))
+    a1, b1 = singlet_pairs(np.zeros(300), np.ones(300), 300, rng(5))
+    assert np.array_equal(a0, a1) and np.array_equal(b0, b1)
+    assert set(a1.tolist()) <= {1, -1} and set(b1.tolist()) <= {1, -1}
+    # anti-correlated where the angles agree, correlated where they differ by pi
+    a, b = singlet_pairs(0.0, np.resize([0.0, math.pi], 400), 400, rng(6))
+    assert np.array_equal(b[::2], -a[::2]) and np.array_equal(b[1::2], a[1::2])
 
 
 # ---------------------------------------------------------------------------

@@ -173,3 +173,15 @@ def test_breakdown_demo_contradiction_pattern():
 def test_breakdown_demo_validates_coverage():
     with pytest.raises(ValueError):
         breakdown_demo(runs=20, run_len=100, stream=RngStream(5))
+
+
+def test_runs_test_too_short_to_vary():
+    # one value on each side of the median always makes two runs
+    res = runs_test([0.0, 1.0])
+    assert res.p_value == 1.0 and res.details["note"] == "too few values"
+
+
+def test_chi_square_needs_two_parts():
+    for parts in (-1, 0, 1):
+        with pytest.raises(ValueError):
+            homogeneity_test([0, 1, 0, 1], "chi_square", n_parts=parts)
