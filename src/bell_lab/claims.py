@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import bellgame, estimators, pairing, randi, sources, stats
-from .core import Events, RngStream, Trials
+from .core import Events, RngStream, Trials, tabulate
 
 RUNS = 1000  # runs per challenge campaign
 
@@ -56,7 +56,7 @@ class Bound:
 
 @dataclass(frozen=True)
 class Target:
-    """One claim: measure(n, stream, threads) returns one measured value
+    """One claim: measure(n, stream) returns one measured value
     per check, in order; a check is (name, *bounds) and passes when every
     bound holds.  seconds is the wall-time limit the acceptance gate sets."""
 
@@ -83,11 +83,11 @@ def check(name: str, measured, bounds, n) -> dict:
             "bounds": [vars(b) for b in bounds], "n": n, "passed": passed}
 
 
-def run(name: str, seed: int, stream: int = 0, threads: int | None = None) -> list:
+def run(name: str, seed: int, stream: int = 0) -> list:
     """Measure one target on its stream and decide each of its checks."""
     target = TARGETS[name]
     key = RngStream(seed, (stream, list(TARGETS).index(name)))
-    measured = target.measure(target.n, key, threads)
+    measured = target.measure(target.n, key)
     return [check(c[0], m, c[1:], target.n)
             for c, m in zip(target.checks, measured, strict=True)]
 
@@ -95,20 +95,20 @@ def run(name: str, seed: int, stream: int = 0, threads: int | None = None) -> li
 # ---------------------------------------------------------------------------
 # measurements
 
-def _singlet(n, stream, threads):
+def _singlet(n, stream):
     rng = stream.generator()
     draws = [sources.singlet_pairs(0.0, d, n, rng) for d in SINGLET_DELTAS]
     return ([float(np.mean(a * b)) for a, b in draws],
             float(np.mean([np.mean(a) for a, _ in draws])))
 
 
-def _smeared(n, stream, threads):
+def _smeared(n, stream):
     jitter = sources.AngleJitter(0.0, SMEAR_WIDTH)
     a, b = sources.smeared_pairs(jitter, jitter, n, stream.generator())
     return (float(np.mean(a * b)),)
 
 
-def _pairing(n, stream, threads):
+def _pairing(n, stream):
     # one setting a side; outcomes alternate, from -1 on A and from +1 on B
     ea, eb = (Events(np.arange(k), np.zeros(k, dtype=np.int64),
                      np.resize([first, -first], k))
@@ -119,7 +119,7 @@ def _pairing(n, stream, threads):
         pairing.pair_random(ea, eb, n, stream.generator()))
 
 
-def _spreadsheet(n, stream, threads):
+def _spreadsheet(n, stream):
     rng = stream.generator()
     sums = [sources.generate_cfd_spreadsheet(
         n, sources.InstructionDist.uniform(), rng).row_combinations().sum()
@@ -128,16 +128,16 @@ def _spreadsheet(n, stream, threads):
 
 
 def _gill(dist):
-    return lambda n, stream, threads: (randi.gill_campaign(
-        dist, n, RUNS, stream, threads).chsh_violation_rate,)
+    return lambda n, stream: (randi.gill_campaign(
+        dist, n, RUNS, stream).chsh_violation_rate,)
 
 
-def _balls(source, n, stream, threads) -> tuple:
-    rep = randi.vongher_campaign(source, RUNS, n, stream, threads)
+def _balls(source, n, stream) -> tuple:
+    rep = randi.vongher_campaign(source, RUNS, n, stream)
     return rep.bell_violation_rate, rep.chsh_violation_rate
 
 
-def _bellgame(n, stream, threads):
+def _bellgame(n, stream):
     scores = sorted({r.score for r in bellgame.counterfactual_table()})
     games = ((bellgame.ScriptedStrategy(bellgame.PERFECT_SCRIPT), 4),
              (bellgame.RandomProgramStrategy(), n), (bellgame.QuantumStrategy(), n))
@@ -146,25 +146,24 @@ def _bellgame(n, stream, threads):
     return scores, script.points, rnd.avg_score, qs.avg_score
 
 
-def _contextual(n, stream, threads):
+def _contextual(n, stream):
     rng = stream.generator()
     params = sources.ContextualParams()
-    terms, fired = [], 0
+    table = {}
     for x, y in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        trials = Trials(np.full(n, x), np.full(n, y),
-                        *sources.contextual_batch(x, y, n, params, rng))
-        terms.append(estimators.correlation(trials))
-        fired += int(trials.coincident.sum())
-    return terms[0] + terms[1] + terms[2] - terms[3], fired / (4 * n)
+        a, b = sources.contextual_batch(x, y, n, params, rng)
+        table.update(tabulate(Trials(np.full(n, x), np.full(n, y), a, b)))
+    est = estimators.chsh(table)
+    return est.s_value, sum(est.sizes) / (4 * n)
 
 
-def _chebyshev(n, stream, threads):
+def _chebyshev(n, stream):
     return (stats.chebyshev_confidence(2.0, 1.0, 0.0).confidence,
             stats.chebyshev_confidence(2.0, 2.0 / 44.72135955, 0.0).confidence)
 
 
-def _breakdown(n, stream, threads):
-    report = stats.breakdown_demo(run_len=n, stream=stream, threads=threads)
+def _breakdown(n, stream):
+    report = stats.breakdown_demo(run_len=n, stream=stream)
     return (report.n_rejecting(100.0), abs(report.pooled.z),
             report.homogeneity["chi_square"].p_value)
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import csv
 import json
 import os
 import sys
@@ -27,7 +26,8 @@ import numpy as np
 from . import (__version__, bellgame, claims, estimators, pairing, randi,
                sources, stats)
 from .core import (Events, RngStream, Trials, _read_columns, read_events,
-                   read_trials, write_events, write_trials)
+                   read_trials, tabulate, write_events, write_rows,
+                   write_trials)
 
 CONFIG_ERROR = 2
 UNDEFINED_STAT = 3
@@ -42,13 +42,13 @@ def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise _config_error(f"config: {exc}") from exc
+        raise ValueError(f"config: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise _config_error(f"config line {lineno}: expected key = value")
+            raise ValueError(f"config line {lineno}: expected key = value")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         value = value.strip()
@@ -58,15 +58,6 @@ def _load_config(path: str) -> dict:
             low = value.lower()
             out[key] = {"true": True, "false": False}.get(low, value)
     return out
-
-
-class _ConfigError(SystemExit):
-    pass
-
-
-def _config_error(msg: str) -> _ConfigError:
-    print(f"error: {msg}", file=sys.stderr)
-    return _ConfigError(CONFIG_ERROR)
 
 
 def _atomic_write(path: Path, writer) -> None:
@@ -118,13 +109,12 @@ def _stream_of(args) -> RngStream:
     return RngStream(args.seed, (args.stream,))
 
 
-def _csv_writer(header, rows):
-    def write(path: Path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
-    return write
+def _read(reader, path, what: str):
+    """reader(path); a missing or malformed file is a ValueError."""
+    try:
+        return reader(path)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"reading {what}: {exc}") from None
 
 
 def _parse_two(value, kind, name: str) -> tuple:
@@ -135,8 +125,8 @@ def _parse_two(value, kind, name: str) -> tuple:
     except ValueError:
         out = ()
     if len(out) != 2:
-        raise _config_error(f"{name}: expected two comma-separated "
-                            f"{kind.__name__} values")
+        raise ValueError(f"{name}: expected two comma-separated "
+                         f"{kind.__name__} values")
     return out
 
 
@@ -146,7 +136,7 @@ def _parse_two(value, kind, name: str) -> tuple:
 def cmd_simulate(args) -> int:
     n = args.n
     if n < 1:
-        raise _config_error("--n must be >= 1")
+        raise ValueError("--n must be >= 1")
     rng = _stream_of(args).generator()
     theta_a, theta_b = _parse_two(args.angles, float, "--angles")
     label_a, label_b = args.label_a, args.label_b
@@ -165,7 +155,7 @@ def cmd_simulate(args) -> int:
     trials = Trials(np.full(n, label_a), np.full(n, label_b), a, b)
     events_a = Events(np.arange(n), trials.setting_a, trials.a)
     events_b = Events(np.arange(n), trials.setting_b, trials.b)
-    results = {"correlation": estimators.correlation(trials),
+    results = {"correlation": estimators.correlation(tabulate(trials)),
                "n_coincident": int(trials.coincident.sum()),
                "mean_a": float(np.mean(a)), "mean_b": float(np.mean(b))}
     _emit(args, {"n": n}, results, extra_files=(
@@ -183,34 +173,31 @@ def _parse_pairing(spec: str):
     kind, _, param = str(spec).partition(":")
     kinds = {"systematic": int, "random": int, "window": float}
     if kind not in kinds:
-        raise _config_error("--pairing must be systematic:k, random:m or window:w")
+        raise ValueError("--pairing must be systematic:k, random:m or window:w")
     if not param:
-        raise _config_error(f"--pairing {kind} needs a parameter, e.g. {kind}:1")
+        raise ValueError(f"--pairing {kind} needs a parameter, e.g. {kind}:1")
     try:
         return kind, kinds[kind](param)
     except ValueError:
-        raise _config_error(f"--pairing {kind}: bad parameter {param!r}")
+        raise ValueError(f"--pairing {kind}: bad parameter {param!r}")
 
 
 def cmd_pair(args) -> int:
-    try:
-        events_a = read_events(args.events_a)
-        events_b = read_events(args.events_b)
-    except (OSError, ValueError) as exc:
-        raise _config_error(f"reading events: {exc}")
+    events_a = _read(read_events, args.events_a, "events")
+    events_b = _read(read_events, args.events_b, "events")
     kind, param = _parse_pairing(args.pairing)
-    if kind == "systematic":
-        trials = pairing.pair_systematic(events_a, events_b, param)
-    elif kind == "random":
-        rng = _stream_of(args).generator()
-        trials = pairing.pair_random(events_a, events_b, param, rng)
-    else:
-        trials = pairing.pair_time_window(events_a, events_b, param)
+    pair = {"systematic": lambda ea, eb: pairing.pair_systematic(ea, eb, param),
+            "random": lambda ea, eb: pairing.pair_random(
+                ea, eb, param, _stream_of(args).generator()),
+            "window": lambda ea, eb: pairing.pair_time_window(ea, eb, param)}
+    trials, unmatched_a, unmatched_b = pairing.pair_counting_unmatched(
+        pair[kind], events_a, events_b)
     n_coinc = int(trials.coincident.sum())
     _emit(args,
           {"n_events_a": len(events_a), "n_events_b": len(events_b),
            "n_trials": len(trials)},
-          {"n_trials": len(trials), "n_coincident": n_coinc},
+          {"n_trials": len(trials), "n_coincident": n_coinc,
+           "unmatched_a": unmatched_a, "unmatched_b": unmatched_b},
           extra_files=(("trials.csv", lambda p: write_trials(p, trials)),))
     return 0
 
@@ -219,50 +206,42 @@ def cmd_pair(args) -> int:
 # estimate
 
 def cmd_estimate(args) -> int:
-    try:
-        trials = read_trials(args.input)
-    except (OSError, ValueError) as exc:
-        raise _config_error(f"reading trials: {exc}")
+    trials = _read(read_trials, args.input, "trials")
     coincident_only = not args.include_no_counts
     a_labels = _parse_two(args.a_labels, int, "--a-labels")
     b_labels = _parse_two(args.b_labels, int, "--b-labels")
-    undefined = False
+    table = tabulate(trials)
 
     if args.stat == "correlation":
-        value = estimators.correlation(trials, coincident_only)
-        undefined = value is None
-        results = {"correlation": value}
+        results = {"correlation": estimators.correlation(table, coincident_only)}
     elif args.stat == "covariance":
         try:
             results = {"covariance": pairing.covariance(trials, coincident_only)}
         except ValueError:
-            undefined = True
             results = {"covariance": None}
     elif args.stat == "chsh":
-        est = estimators.chsh(trials, a_labels, b_labels, coincident_only)
-        undefined = est.s_value is None
+        est = estimators.chsh(table, a_labels, b_labels, coincident_only)
         results = {"s_value": est.s_value, "terms": est.terms(),
                    "sizes": list(est.sizes)}
     elif args.stat == "counter-chsh":
-        counters = estimators.vongher_counters(trials)
+        counters = estimators.vongher_counters(table)
         cc = estimators.chsh_from_counters(counters)
-        undefined = cc.s_value is None
         results = {"s_value": cc.s_value, "e_tilde": list(cc.e_tilde),
                    "n_e": list(counters.n_e), "n_u": list(counters.n_u)}
     elif args.stat == "bell-counter":
-        counters = estimators.vongher_counters(trials)
+        counters = estimators.vongher_counters(table)
         res = estimators.bell_counter_test(counters)
         results = {"lhs": res.lhs, "rhs": res.rhs, "violated": res.violated,
                    "n_e": list(counters.n_e), "n_u": list(counters.n_u)}
     else:  # eberhard
-        counts = estimators.eberhard_counts(trials, a_labels, b_labels)
+        counts = estimators.eberhard_counts(table, a_labels, b_labels)
         results = {"j_value": estimators.eberhard_j(counts),
                    "counts": vars(counts)}
 
     _emit(args, {"n_trials": len(trials)}, results)
-    if undefined and args.strict:
-        return UNDEFINED_STAT
-    return 0
+    undefined = None in [results.get(k, 0)
+                         for k in ("correlation", "covariance", "s_value")]
+    return UNDEFINED_STAT if undefined and args.strict else 0
 
 
 # ---------------------------------------------------------------------------
@@ -275,24 +254,23 @@ def _gill_dist(args) -> sources.InstructionDist:
     if kind == "positive-boundary":
         return sources.InstructionDist.positive_boundary()
     if kind != "point-mass":
-        raise _config_error("--generator must be uniform, positive-boundary "
-                            "or point-mass:A,A',B,B'")
+        raise ValueError("--generator must be uniform, positive-boundary "
+                         "or point-mass:A,A',B,B'")
     atom = tuple(int(v) for v in (param or "1,1,1,1").split(","))
     return sources.InstructionDist.point_mass(atom)
 
 
 def cmd_qrc_gill(args) -> int:
     dist = _gill_dist(args)
-    report = randi.gill_campaign(dist, args.rows, args.runs,
-                                 _stream_of(args), args.threads)
+    report = randi.gill_campaign(dist, args.rows, args.runs, _stream_of(args))
     results = report.to_dict()
     per_run = results.pop("per_run")
     rows = [(r["run"], r["s_value"], int(r["violated"]), *r["sizes"])
             for r in per_run]
     _emit(args, {"runs": args.runs, "rows": args.rows}, results,
-          extra_files=(("per_run.csv", _csv_writer(
-              ("run", "s_value", "violated",
-               "n_ab", "n_abp", "n_apb", "n_apbp"), rows)),))
+          extra_files=(("per_run.csv", lambda p: write_rows(
+              p, ("run", "s_value", "violated",
+                  "n_ab", "n_abp", "n_apb", "n_apbp"), rows)),))
     return 0
 
 
@@ -308,7 +286,7 @@ def _vongher_source(args):
 
 def cmd_qrc_vongher(args) -> int:
     report = randi.vongher_campaign(_vongher_source(args), args.runs,
-                                    args.pairs, _stream_of(args), args.threads)
+                                    args.pairs, _stream_of(args))
     results = report.to_dict()
     per_run = results.pop("per_run")
     rows = [(r["run"], r["bell_lhs"], r["bell_rhs"], int(r["bell_violated"]),
@@ -318,7 +296,7 @@ def cmd_qrc_vongher(args) -> int:
               "chsh_violated", "n_e0", "n_e1", "n_e2", "n_e3",
               "n_u0", "n_u1", "n_u2", "n_u3")
     _emit(args, {"runs": args.runs, "pairs": args.pairs}, results,
-          extra_files=(("per_run.csv", _csv_writer(header, rows)),))
+          extra_files=(("per_run.csv", lambda p: write_rows(p, header, rows)),))
     return 0
 
 
@@ -336,17 +314,15 @@ def _game_strategy(args):
         return bellgame.QuantumStrategy()
     script = bellgame.PERFECT_SCRIPT
     if args.script is not None:
-        try:
-            columns = _read_columns(args.script, ("i", "j", "x", "y"))
-        except (OSError, ValueError) as exc:
-            raise _config_error(f"reading script: {exc}")
+        columns = _read(lambda p: _read_columns(p, ("i", "j", "x", "y")),
+                        args.script, "script")
         script = tuple(zip(*(c.tolist() for c in columns)))
     return bellgame.ScriptedStrategy(script)
 
 
 def cmd_bellgame(args) -> int:
     if args.rounds < 1:
-        raise _config_error("--rounds must be >= 1")
+        raise ValueError("--rounds must be >= 1")
     strategy = _game_strategy(args)
     rng = _stream_of(args).generator()
     result = bellgame.play_game(strategy, args.rounds, rng,
@@ -356,8 +332,8 @@ def cmd_bellgame(args) -> int:
     rows = [(k + 1, r.i, r.j, r.x, r.y, r.a, r.b, int(r.point))
             for k, r in enumerate(result.log)]
     _emit(args, {"rounds": args.rounds}, results,
-          extra_files=(("rounds.csv", _csv_writer(
-              ("minute", "i", "j", "x", "y", "a", "b", "point"), rows)),))
+          extra_files=(("rounds.csv", lambda p: write_rows(
+              p, ("minute", "i", "j", "x", "y", "a", "b", "point"), rows)),))
     return 0
 
 
@@ -369,7 +345,7 @@ def _homogeneity_for(values: np.ndarray, args) -> dict:
     binned = values
     if args.bins:
         if len(values) < args.bins:
-            raise _config_error(f"only {len(values)} values for --bins {args.bins}")
+            raise ValueError(f"only {len(values)} values for --bins {args.bins}")
         binned = stats.bin_statistic(values, args.bins,
                                      lambda c: float(np.mean(c))).defined()
     out = {}
@@ -384,12 +360,9 @@ def _homogeneity_for(values: np.ndarray, args) -> dict:
 
 
 def cmd_homogeneity(args) -> int:
-    try:
-        events = read_events(args.input)
-    except (OSError, ValueError) as exc:
-        raise _config_error(f"reading events: {exc}")
+    events = _read(read_events, args.input, "events")
     if not len(events):
-        raise _config_error("no events in input")
+        raise ValueError("no events in input")
     column = events.outcome if args.column == "outcome" else events.setting
     values = column.astype(float)
     if args.per_setting:
@@ -415,7 +388,7 @@ def _parse_breakdown_spec(d: dict) -> stats.DriftingDeviceSpec:
                             tuple(float(p) for p in probs.split(","))))
         return stats.DriftingDeviceSpec(values, tuple(regimes))
     except (KeyError, ValueError) as exc:
-        raise _config_error(f"breakdown spec: {exc}")
+        raise ValueError(f"breakdown spec: {exc}")
 
 
 def cmd_breakdown(args) -> int:
@@ -423,7 +396,7 @@ def cmd_breakdown(args) -> int:
     if args.spec is not None:
         spec = _parse_breakdown_spec(_load_config(args.spec))
     report = stats.breakdown_demo(spec, args.runs, args.run_len,
-                                  _stream_of(args), args.threads)
+                                  _stream_of(args))
     results = report.to_dict()
     _emit(args, {"runs": args.runs, "run_len": args.run_len}, results)
     return 0
@@ -435,7 +408,7 @@ def cmd_breakdown(args) -> int:
 def cmd_reproduce(args) -> int:
     names = list(claims.TARGETS) if args.target == "all" else [args.target]
     checks = [c for name in names
-              for c in claims.run(name, args.seed, args.stream, args.threads)]
+              for c in claims.run(name, args.seed, args.stream)]
     n_pass = sum(1 for c in checks if c["passed"])
     results = {"checks": checks, "passed": n_pass, "total": len(checks)}
     _emit(args, {"n_targets": len(names)}, results)
@@ -445,16 +418,13 @@ def cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common(sp, threads: bool = False) -> None:
+def _add_common(sp) -> None:
     sp.add_argument("--seed", type=int, default=0,
                     help="base seed (default 0)")
     sp.add_argument("--stream", type=int, default=0,
                     help="stream key under the seed (default 0)")
     sp.add_argument("--config", help="key = value file of defaults")
     sp.add_argument("--out", help="directory for CSV and summary.json")
-    if threads:
-        sp.add_argument("--threads", type=int, default=None,
-                        help="worker threads (BELL_LAB_THREADS caps this)")
 
 
 def build_parser():
@@ -511,7 +481,7 @@ def build_parser():
                     help="uniform, positive-boundary or point-mass:A,A',B,B'")
     sp.add_argument("--rows", type=int, default=3200)
     sp.add_argument("--runs", type=int, default=1000)
-    _add_common(sp, threads=True)
+    _add_common(sp)
     sp.set_defaults(func=cmd_qrc_gill)
 
     sp = sub.add_parser("qrc-vongher", help="ball-protocol challenge campaign")
@@ -526,7 +496,7 @@ def build_parser():
                     help="pair loss probability for missing-pairs")
     sp.add_argument("--pairs", type=int, default=800)
     sp.add_argument("--runs", type=int, default=1000)
-    _add_common(sp, threads=True)
+    _add_common(sp)
     sp.set_defaults(func=cmd_qrc_vongher)
 
     sp = sub.add_parser("bellgame", help="play the guessing game")
@@ -560,13 +530,13 @@ def build_parser():
     sp.add_argument("--run-len", type=int, default=100_000)
     sp.add_argument("--spec", default=None,
                     help="device spec file (values = ..., regimes = ...)")
-    _add_common(sp, threads=True)
+    _add_common(sp)
     sp.set_defaults(func=cmd_breakdown)
 
     sp = sub.add_parser("reproduce", help="re-derive the headline numbers")
     sp.add_argument("--target", default="all",
                     choices=("all",) + tuple(claims.TARGETS))
-    _add_common(sp, threads=True)
+    _add_common(sp)
     sp.set_defaults(func=cmd_reproduce)
 
     return parser, sub
@@ -578,8 +548,8 @@ def _config_defaults(cmd: str, parser, config: dict) -> dict:
     actions = {a.dest: a for a in parser._actions}
     bad = sorted(set(config) - set(actions))
     if bad:
-        raise _config_error(f"config keys not understood by {cmd}: "
-                            f"{', '.join(bad)}")
+        raise ValueError(f"config keys not understood by {cmd}: "
+                         f"{', '.join(bad)}")
     out = {}
     for key, value in config.items():
         action = actions[key]
@@ -587,10 +557,10 @@ def _config_defaults(cmd: str, parser, config: dict) -> dict:
             try:
                 value = action.type(str(value))
             except ValueError as exc:
-                raise _config_error(f"config {key}: {exc}")
+                raise ValueError(f"config {key}: {exc}")
         if action.choices is not None and value not in action.choices:
-            raise _config_error(f"config {key}: {value!r} is not one of "
-                                f"{', '.join(map(str, action.choices))}")
+            raise ValueError(f"config {key}: {value!r} is not one of "
+                             f"{', '.join(map(str, action.choices))}")
         out[key] = value
     return out
 
@@ -599,26 +569,20 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, sub = build_parser()
     cmd = next((tok for tok in argv if not tok.startswith("-")), None)
-    if cmd in sub.choices:
-        pre = argparse.ArgumentParser(add_help=False)
-        pre.add_argument("--config")
-        known, _ = pre.parse_known_args(argv)
-        if known.config:
-            chosen = sub.choices[cmd]
-            try:
-                config = _load_config(known.config)
-                chosen.set_defaults(**_config_defaults(cmd, chosen, config))
-            except _ConfigError as exc:
-                return exc.code
     try:
+        if cmd in sub.choices:
+            pre = argparse.ArgumentParser(add_help=False)
+            pre.add_argument("--config")
+            config = pre.parse_known_args(argv)[0].config
+            if config:
+                chosen = sub.choices[cmd]
+                chosen.set_defaults(**_config_defaults(cmd, chosen,
+                                                       _load_config(config)))
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else CONFIG_ERROR
-    try:
         return args.func(args)
-    except _ConfigError as exc:
-        return exc.code
-    except ValueError as exc:  # out-of-domain input the library rejected
+    except SystemExit as exc:  # argparse: usage errors, --help, --version
+        return exc.code if isinstance(exc.code, int) else CONFIG_ERROR
+    except ValueError as exc:  # bad configuration, input or parameter
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
 

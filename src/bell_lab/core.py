@@ -10,10 +10,9 @@ this encoding.
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
+import itertools
 from dataclasses import dataclass, fields
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -23,8 +22,6 @@ NO_COUNT = 0
 OUTCOMES = (PLUS, MINUS, NO_COUNT)
 
 TWO_PI = 2.0 * np.pi
-
-THREADS_ENV = "BELL_LAB_THREADS"
 
 
 def check_outcome(value) -> int:
@@ -179,22 +176,14 @@ class RngStream:
         return RngStream(self.seed, self.stream + (int(index),))
 
 
-def thread_count(requested: int | None = None) -> int:
-    """Worker count for campaigns; the BELL_LAB_THREADS env var caps it."""
-    n = requested if requested is not None else (os.cpu_count() or 1)
-    cap = os.environ.get(THREADS_ENV)
-    if cap is not None:
-        n = min(n, max(1, int(cap)))
-    return max(1, n)
+# position in OUTCOMES of outcome v, looked up at index v + 1
+_SLOT = np.array([OUTCOMES.index(v) for v in (-1, 0, 1)])
 
 
-def run_indexed(fn: Callable[[int], object], count: int, threads: int | None = None) -> list:
-    """Evaluate fn(0..count-1), possibly on a thread pool, results in index order."""
-    workers = thread_count(threads)
-    if workers == 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
+def table_cells(settings_a: Sequence[int], settings_b: Sequence[int]) -> list:
+    """Keys (setting_a, setting_b, a, b) of the count table over two setting
+    grids, in table order: settings as given, outcomes in OUTCOMES order."""
+    return list(itertools.product(settings_a, settings_b, OUTCOMES, OUTCOMES))
 
 
 def tabulate(trials: Trials,
@@ -203,33 +192,38 @@ def tabulate(trials: Trials,
     """Count table over (setting_a, setting_b, a, b).
 
     The key grid is the cross product of observed (or supplied) setting
-    labels with the nine outcome pairs; cells never seen count as zero,
-    so every admissible key is present and the values sum to the number
-    of trials.
+    labels, sorted, with the nine outcome pairs; cells never seen count
+    as zero, so every admissible key is present and the values sum to
+    the number of trials.
     """
-    sa = set(settings_a) if settings_a is not None else set(trials.setting_a.tolist())
-    sb = set(settings_b) if settings_b is not None else set(trials.setting_b.tolist())
-    table = {(x, y, a, b): 0
-             for x in sorted(sa) for y in sorted(sb)
-             for a in OUTCOMES for b in OUTCOMES}
-    keys, counts = np.unique(np.stack(trials._columns()), axis=1,
-                             return_counts=True)
-    for key, count in zip(map(tuple, keys.T.tolist()), counts.tolist()):
-        if key not in table:
-            raise ValueError(f"trial setting pair {key[:2]} outside the declared grid")
-        table[key] = count
-    return table
+    sa, sb = trials.setting_a, trials.setting_b
+    grid_a = np.unique(sa if settings_a is None else np.array(settings_a, np.int64))
+    grid_b = np.unique(sb if settings_b is None else np.array(settings_b, np.int64))
+    inside = np.isin(sa, grid_a) & np.isin(sb, grid_b)
+    if not inside.all():
+        k = int(np.argmin(inside))
+        raise ValueError(f"trial setting pair {(int(sa[k]), int(sb[k]))} "
+                         "outside the declared grid")
+    cell = ((np.searchsorted(grid_a, sa) * len(grid_b) + np.searchsorted(grid_b, sb))
+            * 3 + _SLOT[trials.a + 1]) * 3 + _SLOT[trials.b + 1]
+    counts = np.bincount(cell, minlength=9 * len(grid_a) * len(grid_b))
+    return dict(zip(table_cells(grid_a.tolist(), grid_b.tolist()), counts.tolist()))
 
 
 EVENT_FIELDS = ("window_index", "setting_label", "outcome")
 TRIAL_FIELDS = ("setting_a", "setting_b", "a", "b")
 
 
-def _write_columns(path, header, store: _ColumnStore) -> None:
+def write_rows(path, header, rows) -> None:
+    """Write a header line, then rows, as CSV with CRLF line ends."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows(zip(*(c.tolist() for c in store._columns())))
+        w.writerows(rows)
+
+
+def _write_columns(path, header, store: _ColumnStore) -> None:
+    write_rows(path, header, zip(*(c.tolist() for c in store._columns())))
 
 
 def _read_columns(path, header) -> list:

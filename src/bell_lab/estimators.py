@@ -1,9 +1,11 @@
 """Finite-sample estimators.
 
-Everything here is an exact function of the recorded trials: pairwise
-correlations, the four-term CHSH combination, equal/unequal counters for
-the ball protocol, and the six-count J statistic.  Estimates that have
-no data behind them come back as None rather than a fabricated number.
+Everything here is an exact function of a count table over (setting_a,
+setting_b, a, b), as core.tabulate builds from recorded trials and the
+campaigns draw directly: pairwise correlations, the four-term CHSH
+combination, equal/unequal counters for the ball protocol, and the
+six-count J statistic.  Estimates that have no data behind them come
+back as None rather than a fabricated number.
 """
 
 from __future__ import annotations
@@ -12,23 +14,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MINUS, NO_COUNT, PLUS, Trials
+from .core import MINUS, NO_COUNT, PLUS
+from .sources import SETTINGS_A, SETTINGS_B
 
 
-def _mean_product(a, b, coincident_only: bool):
-    """(mean of a*b, count used); value is None when nothing is usable."""
-    if coincident_only:
-        keep = (a != NO_COUNT) & (b != NO_COUNT)
-        a, b = a[keep], b[keep]
-    if a.size == 0:
-        return None, 0
-    return float(np.mean(a.astype(np.int64) * b)), int(a.size)
+def _group(table: dict, coincident_only: bool, pair=None):
+    """(mean of a*b, count used) over the cells at setting pair `pair`, or
+    over every cell; the mean is None when nothing is usable."""
+    total = n = 0
+    for (x, y, a, b), count in table.items():
+        if (pair is None or (x, y) == pair) and (a * b or not coincident_only):
+            total += a * b * count
+            n += count
+    return (total / n if n else None), n
 
 
-def correlation(trials: Trials, coincident_only: bool = True) -> float | None:
+def correlation(table: dict, coincident_only: bool = True) -> float | None:
     """Average product of the two outcomes, normally over coincident trials."""
-    value, _ = _mean_product(trials.a, trials.b, coincident_only)
-    return value
+    return _group(table, coincident_only)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -67,24 +70,17 @@ class ChshEstimate:
                 "apb": self.e_apb, "apbp": self.e_apbp}
 
 
-def chsh(trials: Trials, a_labels=(0, 1), b_labels=(0, 1),
+def chsh(table: dict, a_labels=(0, 1), b_labels=(0, 1),
          coincident_only: bool = True) -> ChshEstimate:
-    """Group trials by setting pair and assemble the CHSH combination."""
-    vals, ns = [], []
-    for x in a_labels:
-        for y in b_labels:
-            sel = (trials.setting_a == x) & (trials.setting_b == y)
-            v, n = _mean_product(trials.a[sel], trials.b[sel], coincident_only)
-            vals.append(v)
-            ns.append(n)
-    return ChshEstimate(*vals, *ns)
+    """Group the table by setting pair and assemble the CHSH combination."""
+    groups = [_group(table, coincident_only, (x, y))
+              for x in a_labels for y in b_labels]
+    return ChshEstimate(*(v for v, _ in groups), *(n for _, n in groups))
 
 
 # ---------------------------------------------------------------------------
 # equal/unequal counters for the ball protocol
 
-VONGHER_SETTINGS_A = (0, 3)
-VONGHER_SETTINGS_B = (0, 2)
 N_DELTAS = 4
 
 
@@ -113,19 +109,15 @@ class CounterSet:
         return tuple(e + u for e, u in zip(self.n_e, self.n_u))
 
 
-def vongher_counters(trials: Trials) -> CounterSet:
+def vongher_counters(table: dict) -> CounterSet:
     """Tally equal/unequal coincident pairs by setting distance."""
-    sa, sb, a, b = trials.setting_a, trials.setting_b, trials.a, trials.b
-    if not (np.isin(sa, VONGHER_SETTINGS_A).all()
-            and np.isin(sb, VONGHER_SETTINGS_B).all()):
-        raise ValueError(f"side A settings must be in {VONGHER_SETTINGS_A} "
-                         f"and side B settings in {VONGHER_SETTINGS_B}")
-    d = np.abs(sb - sa)
-    coinc = trials.coincident
-    equal = coinc & (a == b)
-    unequal = coinc & (a != b)
-    n_e = [int(np.sum(equal & (d == k))) for k in range(N_DELTAS)]
-    n_u = [int(np.sum(unequal & (d == k))) for k in range(N_DELTAS)]
+    n_e, n_u = [0] * N_DELTAS, [0] * N_DELTAS
+    for (x, y, a, b), count in table.items():
+        if x not in SETTINGS_A or y not in SETTINGS_B:
+            raise ValueError(f"side A settings must be in {SETTINGS_A} "
+                             f"and side B settings in {SETTINGS_B}")
+        if a * b:
+            (n_e if a == b else n_u)[abs(y - x)] += count
     return CounterSet(tuple(n_e), tuple(n_u))
 
 
@@ -186,10 +178,8 @@ class EberhardCounts:
     n_oo_22: int
 
     def __post_init__(self):
-        for name in ("n_oo_11", "n_oe_12", "n_ou_12",
-                     "n_eo_21", "n_uo_21", "n_oo_22"):
-            if getattr(self, name) < 0:
-                raise ValueError("counts are non-negative")
+        if any(v < 0 for v in vars(self).values()):
+            raise ValueError("counts are non-negative")
 
 
 def eberhard_j(counts: EberhardCounts) -> int:
@@ -198,30 +188,20 @@ def eberhard_j(counts: EberhardCounts) -> int:
             + counts.n_uo_21 + counts.n_oo_22 - counts.n_oo_11)
 
 
-def eberhard_counts(trials: Trials,
+def eberhard_counts(table: dict,
                     a_labels=(0, 1), b_labels=(0, 1)) -> EberhardCounts:
-    """Extract the six counts from measured trials.
+    """Extract the six counts from a count table.
 
     a_labels and b_labels give the (first, second) setting label on each
-    side.  Trials at other labels are an error.
+    side.  Table cells at other labels are an error.
     """
-    sa, sb, a, b = trials.setting_a, trials.setting_b, trials.a, trials.b
     a1, a2 = a_labels
     b1, b2 = b_labels
-    if not (np.isin(sa, a_labels).all() and np.isin(sb, b_labels).all()):
+    if any(x not in a_labels or y not in b_labels for x, y, _, _ in table):
         raise ValueError("trial settings outside the declared labels")
-
-    def count(x, y, va, vb) -> int:
-        return int(np.sum((sa == x) & (sb == y) & (a == va) & (b == vb)))
-
-    return EberhardCounts(
-        n_oo_11=count(a1, b1, PLUS, PLUS),
-        n_oe_12=count(a1, b2, PLUS, MINUS),
-        n_ou_12=count(a1, b2, PLUS, NO_COUNT),
-        n_eo_21=count(a2, b1, MINUS, PLUS),
-        n_uo_21=count(a2, b1, NO_COUNT, PLUS),
-        n_oo_22=count(a2, b2, PLUS, PLUS),
-    )
+    return EberhardCounts(*(table.get(cell, 0) for cell in (
+        (a1, b1, PLUS, PLUS), (a1, b2, PLUS, MINUS), (a1, b2, PLUS, NO_COUNT),
+        (a2, b1, MINUS, PLUS), (a2, b1, NO_COUNT, PLUS), (a2, b2, PLUS, PLUS))))
 
 
 def eberhard_counterfactual(a1, a2, b1, b2) -> EberhardCounts:

@@ -8,6 +8,8 @@ the kind coincidence circuits implement.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import NO_COUNT, Events, Trials
@@ -78,8 +80,8 @@ def pair_time_window(events_a: Events, events_b: Events,
     ordered by the window index of their earliest member, side A first
     on ties.
     """
-    if width <= 0:
-        raise ValueError("width must be > 0")
+    if not 0 < width < math.inf:
+        raise ValueError(f"width must be finite and > 0, got {width}")
     wa, sa, oa = _in_time_order(events_a)
     wb, sb, ob = _in_time_order(events_b)
     nb = len(events_b)
@@ -102,6 +104,25 @@ def pair_time_window(events_a: Events, events_b: Events,
     order = np.lexsort((ia < 0, np.minimum(wa[ia], wb[ib])))
     ia, ib = ia[order], ib[order]
     return Trials(sa[ia], sb[ib], oa[ia], ob[ib])
+
+
+def pair_counting_unmatched(pair, events_a: Events, events_b: Events):
+    """(trials, unmatched_a, unmatched_b) for pair(events_a, events_b).
+
+    An event is unmatched when no trial pairs it with a partner.  pair
+    runs on event indices in place of setting labels, so that each trial
+    names its events; the labels are looked up afterwards.
+    """
+    sides = (events_a, events_b)
+    t = pair(*(Events(e.window, np.arange(len(e)), e.outcome) for e in sides))
+    index = (t.setting_a, t.setting_b)
+    paired = (index[0] >= 0) & (index[1] >= 0)
+    # index -1, an absent partner, reaches the appended label
+    labels = [np.append(e.setting, UNPAIRED_SETTING)[i]
+              for e, i in zip(sides, index)]
+    return (Trials(*labels, t.a, t.b),
+            *(len(e) - np.count_nonzero(np.bincount(i[paired], minlength=len(e)))
+              for e, i in zip(sides, index)))
 
 
 def covariance(trials: Trials, coincident_only: bool = True) -> float:

@@ -11,9 +11,10 @@ before learning the settings produce violation statistics run after run?
   chosen settings, and the equal/unequal counters are scored against the
   d-based inequality and its CHSH form.
 
-Campaigns run many independent rounds on child random streams, so a
-report is reproducible from (seed, stream) alone regardless of the
-thread count.
+A campaign run draws its count table directly, with the same law as
+the per-record samplers (generate_cfd_spreadsheet with gill_subsample,
+vongher_trials), which stay as the oracle.  Run i draws from
+stream.child(i), so a report depends on (seed, stream) alone.
 """
 
 from __future__ import annotations
@@ -23,13 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NO_COUNT, RngStream, Trials, run_indexed
+from .core import (NO_COUNT, OUTCOMES, RngStream, Trials, table_cells,
+                   tabulate)
 from .estimators import (BellCounterResult, ChshEstimate, CounterChsh,
                          CounterSet, bell_counter_test, chsh,
                          chsh_from_counters, vongher_counters)
-from .sources import (SETTINGS_A, SETTINGS_B, BallTable, BallVariant,
-                      InstructionDist, Spreadsheet4, generate_cfd_spreadsheet,
-                      generate_tennis_balls, singlet_pairs)
+from .sources import (ATOMS, SETTINGS_A, SETTINGS_B, BallTable, BallVariant,
+                      InstructionDist, Spreadsheet4, generate_tennis_balls,
+                      singlet_pairs)
 
 CHSH_BOUND = 2.0
 
@@ -47,10 +49,28 @@ def gill_subsample(sheet: Spreadsheet4, rng: np.random.Generator) -> ChshEstimat
     n = len(sheet)
     pick_a = rng.integers(0, 2, size=n)  # 0 reads A, 1 reads A'
     pick_b = rng.integers(0, 2, size=n)
-    rows = sheet.rows
-    a_val = np.where(pick_a == 0, rows[:, 0], rows[:, 1])
-    b_val = np.where(pick_b == 0, rows[:, 2], rows[:, 3])
-    return chsh(Trials(pick_a, pick_b, a_val, b_val))
+    row = np.arange(n)
+    return chsh(tabulate(Trials(pick_a, pick_b, sheet.rows[row, pick_a],
+                                sheet.rows[row, 2 + pick_b])))
+
+
+GILL_CELLS = table_cells((0, 1), (0, 1))
+# the cell that instruction k (A, A', B, B') lands in when its coins read
+# column pick_a of side A and pick_b of side B, for coin group 2*pick_a + pick_b
+_GILL_CELL = np.array([[GILL_CELLS.index((pa, pb, atom[pa], atom[2 + pb]))
+                        for pa in (0, 1) for pb in (0, 1)] for atom in ATOMS])
+
+
+def gill_table(dist: InstructionDist, n_rows: int,
+               rng: np.random.Generator) -> dict:
+    """Count table of one coin-subsample run, with the law of gill_subsample
+    on generate_cfd_spreadsheet(n_rows, dist).  Draw order: the count of
+    each instruction, then the coin groups of each instruction's rows."""
+    per_atom = rng.multinomial(n_rows, dist.probs)
+    groups = rng.multinomial(per_atom, [0.25] * 4)
+    counts = np.bincount(_GILL_CELL.ravel(), weights=groups.ravel(),
+                         minlength=len(GILL_CELLS))
+    return dict(zip(GILL_CELLS, counts.astype(np.int64).tolist()))
 
 
 @dataclass(frozen=True)
@@ -103,24 +123,18 @@ def qrc_win_bound(runs: int) -> float:
 
 
 def gill_campaign(dist: InstructionDist, n_rows: int, runs: int,
-                  stream: RngStream, threads: int | None = None) -> CampaignReport:
-    """Fresh spreadsheet from dist each run, scored by gill_subsample.
-
-    Run i draws everything from stream.child(i), so reports do not
-    depend on scheduling.
-    """
+                  stream: RngStream) -> CampaignReport:
+    """Run i scores the CHSH of gill_table(dist, n_rows) on stream.child(i)."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
 
     def one(i: int) -> dict:
-        rng = stream.child(i).generator()
-        sheet = generate_cfd_spreadsheet(n_rows, dist, rng)
-        est = gill_subsample(sheet, rng)
+        est = chsh(gill_table(dist, n_rows, stream.child(i).generator()))
         s = est.s_value
         return {"run": i, "s_value": s, "sizes": list(est.sizes),
                 "violated": s is not None and s > CHSH_BOUND}
 
-    per_run = run_indexed(one, runs, threads)
+    per_run = [one(i) for i in range(runs)]
     viol = sum(1 for r in per_run if r["violated"])
     return CampaignReport(runs=runs, chsh_violations=viol,
                           per_run=tuple(per_run), qrc_bound=qrc_win_bound(runs))
@@ -190,15 +204,54 @@ def vongher_trials(source, n_pairs: int, rng: np.random.Generator) -> Trials:
     return Trials(sa, sb, a, b)
 
 
+VONGHER_CELLS = table_cells(SETTINGS_A, SETTINGS_B)
+_PLUS, _MINUS, _NONE = (OUTCOMES.index(v) for v in (1, -1, 0))
+
+
+def vongher_cell_probs(source) -> np.ndarray:
+    """Law of one vongher_trials trial over VONGHER_CELLS, shape (2, 2, 3, 3).
+
+    Settings are fair and independent; given them, the two outcomes have
+    uniform marginals and differ with probability p_unequal.  For a
+    singlet that is (1 + cos(d pi / 8)) / 2 at setting distance d; for
+    balls, the chance that the two bits read differ, each being B0 flipped
+    independently (A0 with q, A3 with p_a3_flip, B2 with p_b2_flip).
+    """
+    sa = np.array(SETTINGS_A)[:, None]
+    sb = np.array(SETTINGS_B)[None, :]
+    if source == QUANTUM_SOURCE:
+        p_unequal = (1.0 + np.cos((sa - sb) * VONGHER_ANGLE_UNIT)) / 2.0
+        kept = 1.0
+    elif isinstance(source, BallVariant):
+        flip_a = np.array([source.q, source.p_a3_flip])[:, None]
+        flip_b = np.array([0.0, source.p_b2_flip])[None, :]
+        p_unequal = flip_a * (1.0 - flip_b) + (1.0 - flip_a) * flip_b
+        kept = 1.0 - source.p_drop
+    else:
+        raise ValueError(f"source must be a BallVariant or {QUANTUM_SOURCE!r}")
+    probs = np.zeros((2, 2, 3, 3))
+    probs[:, :, _PLUS, _PLUS] = probs[:, :, _MINUS, _MINUS] = kept * (1 - p_unequal) / 8
+    probs[:, :, _PLUS, _MINUS] = probs[:, :, _MINUS, _PLUS] = kept * p_unequal / 8
+    probs[:, :, _NONE, _NONE] = (1.0 - kept) / 4
+    return probs
+
+
+def vongher_table(source, n_pairs: int, rng: np.random.Generator) -> dict:
+    """Count table of one ball-protocol run: one multinomial draw of
+    n_pairs trials over VONGHER_CELLS, the law of vongher_trials."""
+    counts = rng.multinomial(n_pairs, vongher_cell_probs(source).ravel())
+    return dict(zip(VONGHER_CELLS, counts.tolist()))
+
+
 def vongher_run(source, n_pairs: int, rng: np.random.Generator) -> VongherRun:
-    """Play one run of the ball protocol: vongher_trials, then both verdicts."""
-    counters = vongher_counters(vongher_trials(source, n_pairs, rng))
+    """Play one run of the ball protocol: vongher_table, then both verdicts."""
+    counters = vongher_counters(vongher_table(source, n_pairs, rng))
     return VongherRun(counters, bell_counter_test(counters),
                       chsh_from_counters(counters))
 
 
-def vongher_campaign(source, runs: int, n_pairs: int, stream: RngStream,
-                     threads: int | None = None) -> CampaignReport:
+def vongher_campaign(source, runs: int, n_pairs: int,
+                     stream: RngStream) -> CampaignReport:
     """Many independent ball-protocol runs; rates for both verdicts."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -215,7 +268,7 @@ def vongher_campaign(source, runs: int, n_pairs: int, stream: RngStream,
                 "s_value": run.chsh.s_value,
                 "chsh_violated": run.chsh_violated}
 
-    per_run = run_indexed(one, runs, threads)
+    per_run = [one(i) for i in range(runs)]
     bell = sum(1 for r in per_run if r["bell_violated"])
     chsh_v = sum(1 for r in per_run if r["chsh_violated"])
     return CampaignReport(runs=runs, chsh_violations=chsh_v,

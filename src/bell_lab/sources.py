@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MINUS, PLUS
+from .core import MINUS, PLUS, write_rows
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +52,10 @@ def singlet_pairs(theta_a, theta_b, n: int, rng: np.random.Generator):
     the agreement draws for side B.  P(b = -a) = (1 + cos(theta_a -
     theta_b)) / 2.
     """
-    p_anti = (1.0 + np.cos(np.subtract(theta_a, theta_b))) / 2.0
+    delta = np.subtract(theta_a, theta_b)
+    if not np.isfinite(delta).all():
+        raise ValueError("analyzer angles must be finite")
+    p_anti = (1.0 + np.cos(delta)) / 2.0
     a = rng.choice(np.array([PLUS, MINUS], dtype=np.int8), size=n)
     flip = rng.random(n) < p_anti
     b = np.where(flip, -a, a).astype(np.int8)
@@ -79,8 +82,9 @@ class AngleJitter:
     sigma: float | None = None
 
     def __post_init__(self):
-        if self.half_width < 0:
-            raise ValueError("half_width must be >= 0")
+        if not 0 <= self.half_width < math.inf:
+            raise ValueError(f"half_width must be finite and >= 0, "
+                             f"got {self.half_width}")
         if self.weight not in JITTER_WEIGHTS:
             raise ValueError(f"weight must be one of {JITTER_WEIGHTS}")
 
@@ -144,10 +148,7 @@ class InstructionDist:
 
     @classmethod
     def point_mass(cls, atom) -> "InstructionDist":
-        atom = tuple(int(v) for v in atom)
-        if atom not in ATOMS:
-            raise ValueError(f"unknown instruction {atom!r}")
-        return cls(tuple(1.0 if a == atom else 0.0 for a in ATOMS))
+        return cls.from_mapping({tuple(atom): 1.0})
 
     @classmethod
     def from_mapping(cls, weights: dict) -> "InstructionDist":
@@ -188,10 +189,7 @@ class Spreadsheet4:
         return row_combination(a, ap, b, bp)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(("a", "a_prime", "b", "b_prime"))
-            w.writerows(self.rows.tolist())
+        write_rows(path, ("a", "a_prime", "b", "b_prime"), self.rows.tolist())
 
     @classmethod
     def read_csv(cls, path) -> "Spreadsheet4":
@@ -308,12 +306,9 @@ class BallTable:
         return (self[i] for i in range(len(self)))
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(("a0", "a3", "b0", "b2", "prepared"))
-            for i in range(len(self)):
-                w.writerow((int(self.a0[i]), int(self.a3[i]), int(self.b0[i]),
-                            int(self.b2[i]), int(self.prepared[i])))
+        columns = (self.a0, self.a3, self.b0, self.b2, self.prepared)
+        write_rows(path, ("a0", "a3", "b0", "b2", "prepared"),
+                   zip(*(c.astype(int).tolist() for c in columns)))
 
 
 def generate_tennis_balls(n_pairs: int, variant: BallVariant,
@@ -362,10 +357,10 @@ class ContextualParams:
     response: str = "threshold_detection"
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be > 0")
-        if self.tau0 < 0:
-            raise ValueError("tau0 must be >= 0")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
+        if not 0 <= self.tau0 < math.inf:
+            raise ValueError(f"tau0 must be finite and >= 0, got {self.tau0}")
         if self.response not in RESPONSES:
             raise ValueError(f"response must be one of {RESPONSES}")
         object.__setattr__(self, "angles_a", tuple(float(t) for t in self.angles_a))

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats as sps
 
-from .core import RngStream, run_indexed
+from .core import RngStream
 
 
 @dataclass(frozen=True)
@@ -96,17 +95,10 @@ def bin_statistic(data: Sequence, n_bins: int,
     size = len(data) // n_bins
     if size == 0:
         raise ValueError("fewer data points than bins")
-    values = []
-    undefined = []
-    for k in range(n_bins):
-        v = reducer(data[k * size:(k + 1) * size])
-        if v is None:
-            undefined.append(k)
-            values.append(None)
-        else:
-            values.append(float(v))
-    return BinnedStatistic(tuple(values), size, len(data) - n_bins * size,
-                           tuple(undefined))
+    raw = [reducer(data[k * size:(k + 1) * size]) for k in range(n_bins)]
+    return BinnedStatistic(tuple(None if v is None else float(v) for v in raw),
+                           size, len(data) - n_bins * size,
+                           tuple(k for k, v in enumerate(raw) if v is None))
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +131,9 @@ def _chi_square_parts(values: np.ndarray, n_parts: int) -> HomogeneityResult:
     if cats.size < 2:
         return HomogeneityResult("chi_square", 0.0, 1.0,
                                  {"note": "single category", "parts": n_parts})
-    table = np.zeros((n_parts, cats.size), dtype=np.int64)
-    for p in range(n_parts):
-        table[p] = np.bincount(coded[p * size:(p + 1) * size],
-                               minlength=cats.size)
+    table = np.array([np.bincount(part, minlength=cats.size)
+                      for part in coded.reshape(n_parts, size)])
+    from scipy import stats as sps  # about a second to import: load on use
     stat, p_value, dof, _ = sps.chi2_contingency(table)
     return HomogeneityResult("chi_square", float(stat), float(p_value),
                              {"dof": int(dof), "parts": n_parts,
@@ -153,6 +144,7 @@ def _ks_halves(values: np.ndarray) -> HomogeneityResult:
     half = values.size // 2
     if half < 1:
         raise ValueError("need at least 2 values")
+    from scipy import stats as sps
     res = sps.ks_2samp(values[:half], values[half:2 * half])
     return HomogeneityResult("ks", float(res.statistic), float(res.pvalue),
                              {"half_size": half})
@@ -179,6 +171,7 @@ def runs_test(values) -> HomogeneityResult:
     mean_r = 1.0 + 2.0 * n1 * n2 / n
     var_r = 2.0 * n1 * n2 * (2.0 * n1 * n2 - n) / (n ** 2 * (n - 1))
     z = (r - mean_r) / math.sqrt(var_r)
+    from scipy import stats as sps
     p = 2.0 * float(sps.norm.sf(abs(z)))
     return HomogeneityResult("runs", float(z), min(1.0, p),
                              {"runs": r, "n_above": n1, "n_below": n2})
@@ -225,12 +218,14 @@ class DriftingDeviceSpec:
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
+        if not all(map(math.isfinite, vals)):
+            raise ValueError("symbol values must be finite")
         regs = []
         for start, stop, probs in self.regimes:
             p = tuple(float(q) for q in probs)
             if len(p) != len(vals):
                 raise ValueError("each regime needs one probability per symbol")
-            if any(q < 0 for q in p) or abs(sum(p) - 1.0) > 1e-9:
+            if not (all(q >= 0 for q in p) and abs(sum(p) - 1.0) <= 1e-9):
                 raise ValueError("regime probabilities must be >= 0 and sum to 1")
             regs.append((int(start), int(stop), p))
         regs.sort(key=lambda r: r[0])
@@ -321,13 +316,14 @@ def _run_stat(run: int, counts: np.ndarray, margins: np.ndarray) -> RunStat:
 
 
 def breakdown_demo(spec: DriftingDeviceSpec | None = None, runs: int = 100,
-                   run_len: int = 100_000, stream: RngStream | None = None,
-                   threads: int | None = None) -> BreakdownReport:
+                   run_len: int = 100_000,
+                   stream: RngStream | None = None) -> BreakdownReport:
     """Run the drifting device and score it every way at once.
 
     Every single run rejects the pooled-mean hypothesis with enormous
     significance, the pooled series quietly accepts it, and the
     homogeneity battery explains why: the series is not one experiment.
+    Run i draws its symbol counts, one multinomial, from stream.child(i).
     """
     if run_len < 2:
         raise ValueError("run_len must be >= 2 for a standard error")
@@ -335,14 +331,8 @@ def breakdown_demo(spec: DriftingDeviceSpec | None = None, runs: int = 100,
     stream = stream if stream is not None else RngStream(0)
     spec.check_covers(runs)
     margins = 1.0 - np.asarray(spec.values)
-    n_symbols = len(spec.values)
-
-    def one(i: int) -> np.ndarray:
-        rng = stream.child(i).generator()
-        symbols = rng.choice(n_symbols, size=run_len, p=spec.probs_for(i))
-        return np.bincount(symbols, minlength=n_symbols)
-
-    counts = run_indexed(one, runs, threads)
+    counts = [stream.child(i).generator().multinomial(run_len, spec.probs_for(i))
+              for i in range(runs)]
     per_run = [_run_stat(i, c, margins) for i, c in enumerate(counts)]
     pooled_counts = np.sum(counts, axis=0)
     pooled = _run_stat(-1, pooled_counts, margins)
@@ -351,6 +341,7 @@ def breakdown_demo(spec: DriftingDeviceSpec | None = None, runs: int = 100,
     half_counts = np.array([np.sum(counts[:half], axis=0),
                             np.sum(counts[half:], axis=0)])
     keep = half_counts.sum(axis=0) > 0
+    from scipy import stats as sps
     chi_stat, chi_p, dof, _ = sps.chi2_contingency(half_counts[:, keep])
     run_means = np.array([r.mean for r in per_run])
     homogeneity = {

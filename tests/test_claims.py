@@ -46,7 +46,7 @@ def test_one_sided_limits_keep_their_strictness():
     assert str(Bound("+-", 0.5, 0.1)) == "0.5+-0.1"
 
 
-def draw(n, stream, threads):
+def draw(n, stream):
     return (float(stream.generator().random()),)
 
 
@@ -84,7 +84,7 @@ def test_a_check_record_carries_its_bounds_and_n():
 
 
 def test_measure_must_return_one_value_per_check(monkeypatch):
-    two = Target("first", 1, lambda n, s, t: (1.0, 2.0),
+    two = Target("first", 1, lambda n, s: (1.0, 2.0),
                  (("only", Bound("+-", 1.0)),))
     monkeypatch.setattr(claims, "TARGETS", {"first": two})
     with pytest.raises(ValueError):

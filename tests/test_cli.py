@@ -2,10 +2,14 @@ import contextlib
 import io
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import bell_lab
 from bell_lab.cli import main
 import numpy as np
 
@@ -411,6 +415,12 @@ def test_bellgame_rejects_malformed_script(capsys, tmp_path, case):
     ["simulate", "--model", "contextual", "--x", "-1", "--n", "10"],
     ["simulate", "--model", "contextual", "--y", "2", "--n", "10"],
     ["simulate", "--model", "smeared", "--half-width-a", "-1", "--n", "10"],
+    ["simulate", "--model", "smeared", "--half-width-a", "nan", "--n", "10"],
+    ["simulate", "--model", "smeared", "--half-width-b", "inf", "--n", "10"],
+    ["simulate", "--model", "singlet", "--angles", "nan,0", "--n", "10"],
+    ["simulate", "--model", "contextual", "--gamma", "nan", "--n", "10"],
+    ["simulate", "--model", "contextual", "--tau0", "inf", "--n", "10"],
+    ["qrc-vongher", "--variant", "partial-anticorr", "--q", "nan"],
     ["qrc-gill", "--runs", "0"],
     ["qrc-vongher", "--runs", "0"],
     ["breakdown", "--run-len", "1"],
@@ -419,10 +429,34 @@ def test_out_of_domain_parameters_exit_2(capsys, argv):
     assert_one_line_error(capsys, argv)
 
 
+@pytest.mark.parametrize("width", ["nan", "inf", "-inf"])
+def test_pair_rejects_non_finite_window(capsys, tmp_path, width):
+    events = tmp_path / "events.csv"
+    events.write_text(GOOD_EVENTS, newline="")
+    assert_one_line_error(capsys, ["pair", "--events-a", str(events),
+                                   "--events-b", str(events),
+                                   "--pairing", f"window:{width}"], "width")
+
+
+@pytest.mark.parametrize("command", ["qrc-gill", "qrc-vongher", "breakdown",
+                                     "reproduce"])
+def test_threads_is_no_flag(capsys, command):
+    assert main([command, "--threads", "2"]) == 2
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = str(Path(bell_lab.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import bell_lab.cli; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
 # ---------------------------------------------------------------------------
 # argv fuzz: any argv ends in a defined exit code, never a traceback
 
-EDGE = ("-1", "0", "1", "2", "1.5", "abc", "")
+EDGE = ("-1", "0", "1", "2", "1.5", "abc", "", "nan", "inf", "-inf")
 
 
 def edge():
@@ -438,12 +472,10 @@ def opt(name, values, always=False):
     return present if always else st.one_of(st.just([]), present)
 
 
-def command(name, always=(), threads=False, **options):
+def command(name, always=(), **options):
     """argv for one subcommand.  Options named in always are always given:
     every size is, so that no default size runs a long campaign."""
     options.update(seed=edge(), stream=edge())
-    if threads:
-        options["threads"] = edge()
     parts = [opt(k, v, k in always) for k, v in options.items()]
     return st.tuples(*parts).map(
         lambda ps: [name] + [tok for p in ps for tok in p])
@@ -454,22 +486,24 @@ FILES = st.sampled_from(("events.csv", "trials.csv", "script.csv",
 FUZZ_ARGV = st.one_of(
     command("simulate", ("model", "n"), n=edge(),
             model=st.sampled_from(("singlet", "smeared", "contextual", "x")),
-            angles=st.sampled_from(("0,1", "1", "a,b", "", "0,1,2")),
+            angles=st.sampled_from(("0,1", "1", "a,b", "", "0,1,2", "nan,0",
+                                    "0,inf")),
             half_width_a=edge(), half_width_b=edge(), x=edge(), y=edge(),
             gamma=edge(), tau0=edge(), label_a=edge()),
     command("pair", ("events_a", "events_b", "pairing"),
             events_a=FILES, events_b=FILES,
             pairing=st.sampled_from(("systematic:1", "random:2", "window:1",
-                                     "window:-1", "random:-1", "window", "x:1"))),
+                                     "window:-1", "random:-1", "window", "x:1",
+                                     "window:nan", "window:inf"))),
     command("estimate", ("input", "stat"), input=FILES,
             stat=st.sampled_from(("correlation", "covariance", "chsh",
                                   "counter-chsh", "bell-counter", "eberhard")),
             a_labels=st.sampled_from(("0,1", "1", "a,b")),
             include_no_counts=None, strict=None),
-    command("qrc-gill", ("rows", "runs"), True, rows=edge(), runs=edge(),
+    command("qrc-gill", ("rows", "runs"), rows=edge(), runs=edge(),
             generator=st.sampled_from(("uniform", "positive-boundary",
                                        "point-mass:1,1", "x"))),
-    command("qrc-vongher", ("pairs", "runs"), True, pairs=edge(), runs=edge(),
+    command("qrc-vongher", ("pairs", "runs"), pairs=edge(), runs=edge(),
             variant=st.sampled_from(("strict", "missing-pairs",
                                      "partial-anticorr", "quantum")),
             q=edge(), p_a3_flip=edge(), p_drop=edge()),
@@ -481,7 +515,7 @@ FUZZ_ARGV = st.one_of(
             column=st.sampled_from(("outcome", "setting_label")),
             method=st.sampled_from(("chi_square", "ks", "runs", "all")),
             parts=edge(), bins=edge(), per_setting=None),
-    command("breakdown", ("runs", "run_len"), True, runs=edge(),
+    command("breakdown", ("runs", "run_len"), runs=edge(),
             run_len=edge(), spec=st.sampled_from(("spec.cfg", "absent.cfg"))),
 )
 

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from bell_lab.core import (NO_COUNT, OUTCOMES, Events, PairedTrial,
                            RngStream, StationEvent, Trials, check_outcome,
                            check_outcomes, read_events, read_trials,
-                           run_indexed, tabulate, wrap_angle, write_events,
+                           tabulate, wrap_angle, write_events,
                            write_trials)
 
 TWO_PI = 2 * np.pi
@@ -104,15 +104,6 @@ def test_rng_stream_child_extends_key():
 
 def test_rng_stream_accepts_int_key():
     assert RngStream(1, 5).stream == (5,)
-
-
-def test_run_indexed_order_and_thread_determinism(monkeypatch):
-    serial = run_indexed(lambda i: i * i, 20, threads=1)
-    parallel = run_indexed(lambda i: i * i, 20, threads=4)
-    assert serial == parallel == [i * i for i in range(20)]
-    monkeypatch.setenv("BELL_LAB_THREADS", "1")
-    capped = run_indexed(lambda i: i + 1, 5, threads=8)
-    assert capped == [1, 2, 3, 4, 5]
 
 
 def test_tabulate_empty():

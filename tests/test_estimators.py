@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bell_lab.core import RngStream, Trials
+from bell_lab.core import RngStream, Trials, tabulate
 from bell_lab.estimators import (ChshEstimate, CounterSet, EberhardCounts,
                                  bell_counter_test, chsh, chsh_from_counters,
                                  correlation, eberhard_counterfactual,
@@ -24,28 +24,33 @@ def trials_of(rows):
     return Trials(*np.array(rows, dtype=np.int64).reshape(-1, 4).T)
 
 
+def table_of(rows):
+    """The count table of (setting_a, setting_b, a, b) rows."""
+    return tabulate(trials_of(rows))
+
+
 # ---------------------------------------------------------------------------
 # correlation
 
 def test_correlation_basic():
-    assert correlation(trials_of(rows_at(0, 0, [(1, 1), (1, -1)]))) == 0.0
-    assert correlation(trials_of(rows_at(0, 0, [(1, -1), (-1, 1)]))) == -1.0
+    assert correlation(table_of(rows_at(0, 0, [(1, 1), (1, -1)]))) == 0.0
+    assert correlation(table_of(rows_at(0, 0, [(1, -1), (-1, 1)]))) == -1.0
 
 
 def test_correlation_none_without_data():
-    assert correlation(trials_of([])) is None
-    assert correlation(trials_of([(0, 0, 0, 1)])) is None
+    assert correlation(table_of([])) is None
+    assert correlation(table_of([(0, 0, 0, 1)])) is None
 
 
 def test_correlation_no_count_handling():
     trials = trials_of(rows_at(0, 0, [(1, 1), (0, 1), (1, 0)]))
-    assert correlation(trials) == 1.0
-    assert correlation(trials, coincident_only=False) == pytest.approx(1 / 3)
+    assert correlation(tabulate(trials)) == 1.0
+    assert correlation(tabulate(trials), coincident_only=False) == pytest.approx(1 / 3)
 
 
 def test_correlation_counts_only_coincident_trials():
     trials = trials_of(rows_at(0, 0, [(1, 1), (1, -1), (0, 1)]))
-    assert correlation(trials) == 0.0
+    assert correlation(tabulate(trials)) == 0.0
     assert int(trials.coincident.sum()) == 2
 
 
@@ -57,14 +62,14 @@ def test_chsh_groups_and_value():
               + rows_at(0, 1, [(1, 1)] * 3)
               + rows_at(1, 0, [(-1, -1)] * 2)
               + rows_at(1, 1, [(1, -1)] * 2))
-    est = chsh(trials_of(trials))
+    est = chsh(table_of(trials))
     assert est.sizes == (4, 3, 2, 2)
     assert est.terms() == {"ab": 1.0, "abp": 1.0, "apb": 1.0, "apbp": -1.0}
     assert est.s_value == 4.0  # measured groups are free of the bound
 
 
 def test_chsh_undefined_when_a_group_is_empty():
-    est = chsh(trials_of(rows_at(0, 0, [(1, 1), (-1, -1)])))
+    est = chsh(table_of(rows_at(0, 0, [(1, 1), (-1, -1)])))
     assert est.n_apbp == 0
     assert est.s_value is None
 
@@ -72,14 +77,14 @@ def test_chsh_undefined_when_a_group_is_empty():
 def test_chsh_respects_custom_labels():
     trials = (rows_at(0, 0, [(1, -1)] * 2) + rows_at(0, 2, [(1, -1)] * 2)
               + rows_at(3, 0, [(1, -1)] * 2) + rows_at(3, 2, [(1, 1)] * 2))
-    est = chsh(trials_of(trials), a_labels=(0, 3), b_labels=(0, 2))
+    est = chsh(table_of(trials), a_labels=(0, 3), b_labels=(0, 2))
     assert est.s_value == pytest.approx(-4.0)
 
 
 def test_chsh_no_counts_shrink_groups():
     trials = (rows_at(0, 0, [(1, 1), (0, 1)]) + rows_at(0, 1, [(1, 1)])
               + rows_at(1, 0, [(1, 1)]) + rows_at(1, 1, [(1, 1)]))
-    est = chsh(trials_of(trials))
+    est = chsh(table_of(trials))
     assert est.n_ab == 1
 
 
@@ -100,8 +105,8 @@ def test_chsh_singlet_reaches_two_sqrt_two():
         sb.append(np.full(n, y))
         av.append(a)
         bv.append(b)
-    est = chsh(Trials(np.concatenate(sa), np.concatenate(sb),
-                      np.concatenate(av), np.concatenate(bv)))
+    est = chsh(tabulate(Trials(np.concatenate(sa), np.concatenate(sb),
+                               np.concatenate(av), np.concatenate(bv))))
     assert abs(est.s_value) == pytest.approx(2 * SQRT2, abs=8 / math.sqrt(n))
 
 
@@ -125,16 +130,16 @@ def test_vongher_counters_by_distance():
         + rows_at(3, 0, [(-1, -1)])             # d = 3
         + rows_at(0, 0, [(0, 1), (1, 0)])       # no-counts touch nothing
     )
-    cs = vongher_counters(trials_of(trials))
+    cs = vongher_counters(table_of(trials))
     assert cs.n_e == (1, 0, 3, 1)
     assert cs.n_u == (1, 2, 0, 0)
 
 
 def test_vongher_counters_reject_foreign_settings():
     with pytest.raises(ValueError):
-        vongher_counters(trials_of([(1, 0, 1, 1)]))
+        vongher_counters(table_of([(1, 0, 1, 1)]))
     with pytest.raises(ValueError):
-        vongher_counters(trials_of([(0, 1, 1, 1)]))
+        vongher_counters(table_of([(0, 1, 1, 1)]))
 
 
 def test_bell_counter_test_sides():
@@ -173,7 +178,7 @@ def test_eberhard_counts_from_trials():
               + rows_at(0, 1, [(1, -1), (1, 0), (-1, -1)])
               + rows_at(1, 0, [(-1, 1), (0, 1), (1, 1)])
               + rows_at(1, 1, [(1, 1), (1, 1)]))
-    c = eberhard_counts(trials_of(trials))
+    c = eberhard_counts(table_of(trials))
     assert c == EberhardCounts(n_oo_11=1, n_oe_12=1, n_ou_12=1,
                                n_eo_21=1, n_uo_21=1, n_oo_22=2)
     assert eberhard_j(c) == 5
@@ -181,7 +186,7 @@ def test_eberhard_counts_from_trials():
 
 def test_eberhard_counts_rejects_stray_labels():
     with pytest.raises(ValueError):
-        eberhard_counts(trials_of([(2, 0, 1, 1)]))
+        eberhard_counts(table_of([(2, 0, 1, 1)]))
 
 
 def test_eberhard_counterfactual_row_bound_exhaustive():

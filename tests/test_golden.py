@@ -8,6 +8,7 @@ say so.
 
 import csv
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -40,15 +41,15 @@ GOLDEN = {
     "chsh/summary.json":
         "6ff1736d5f92ede7cd53b6c5f9756dd8e52b6ac7942637e1b2532f3c3f12f5fb",
     "gill/per_run.csv":
-        "c3399639cdd750c5674e9f8ae3378712796b8d56ecbd11f3b64ae528d4c2db49",
+        "0ca2d31ae00491b74a148a166e8fdc8c0441d8300a4ad9b573bfb3ff9180e987",
     "gill/summary.json":
-        "a88dc21121f3b0980fe3bc25d687e6ac137709f3225ea4aeb8ce0cf39782c81d",
+        "659148db514b5dd7827b41bb5a09cddc0707029e0408412b6ce69bacfbe5896f",
     "vongher/per_run.csv":
-        "f8e1d8d91f3d10a3ca03e17d2ebe70e45d7b00add8f99cfb1b8c19d06ebf0de2",
+        "bc9eee10c4ec1f4877bf512204fe7dc758bc9c0d10c18dbb0359c6e91079944e",
     "vongher/summary.json":
-        "b7f6ae9d769285d0a5371301276e06500705a11675be36efda766059ec0785c7",
+        "a192d39283d885d1b978281efbf8824a7a4a1581253928a09c4166b5f1695808",
     "breakdown/summary.json":
-        "06a6b00a9f25caebd8c97666ffa3a66ce757808df6b4f54be9ac09ccfa66e93e",
+        "55a534d5ebdbb61a05c3c188cd8bdba781eb0dd59589d7eec89e2abf0a2608a4",
 }
 
 COMMANDS = {
@@ -111,3 +112,28 @@ def hashes(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_bytes_are_pinned(hashes, name):
     assert hashes[name] == GOLDEN[name]
+
+
+@pytest.mark.parametrize("label", ["systematic", "random", "window1", "window2"])
+def test_pair_summary_counts_unmatched_events(tmp_path, monkeypatch, capsys, label):
+    # the golden event pair with each event's index as its setting label:
+    # a trial then names its events, and an event no trial pairs with a
+    # partner (label -1 marks an absent one) is unmatched
+    monkeypatch.chdir(tmp_path)
+    write_event_pair()
+    sizes = {}
+    for name in ("a.csv", "b.csv"):
+        rows = list(csv.reader(open(name, newline="")))
+        sizes[name] = len(rows) - 1
+        with open(name, "w", newline="") as fh:
+            csv.writer(fh).writerows(
+                [rows[0]] + [[w, k, o] for k, (w, _, o) in enumerate(rows[1:])])
+    assert main(COMMANDS[label] + ["--out", "out"]) == 0
+    capsys.readouterr()
+    with open("out/trials.csv", newline="") as fh:
+        trials = np.array([r for r in csv.reader(fh)][1:], dtype=int)
+    paired = trials[(trials[:, 0] >= 0) & (trials[:, 1] >= 0)]
+    results = json.load(open("out/summary.json"))["results"]
+    assert results["unmatched_a"] == sizes["a.csv"] - len(set(paired[:, 0]))
+    assert results["unmatched_b"] == sizes["b.csv"] - len(set(paired[:, 1]))
+    assert 0 < results["unmatched_a"] + results["unmatched_b"]

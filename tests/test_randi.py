@@ -1,15 +1,19 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from bell_lab.core import RngStream
-from bell_lab.estimators import vongher_counters
-from bell_lab.randi import (CHSH_BOUND, CampaignReport, draw_vongher_settings,
-                            gill_campaign, gill_subsample, measure_balls,
-                            QUANTUM_SOURCE, qrc_win_bound, vongher_campaign,
-                            vongher_run, vongher_trials)
-from bell_lab.sources import (BallTable, InstructionDist, generate_cfd_spreadsheet,
+from bell_lab.core import OUTCOMES, RngStream, tabulate
+from bell_lab.estimators import chsh, vongher_counters
+from bell_lab.randi import (CHSH_BOUND, CampaignReport, GILL_CELLS,
+                            VONGHER_ANGLE_UNIT, VONGHER_CELLS,
+                            draw_vongher_settings, gill_campaign, gill_subsample,
+                            gill_table, measure_balls, QUANTUM_SOURCE,
+                            qrc_win_bound, vongher_campaign, vongher_cell_probs,
+                            vongher_run, vongher_table, vongher_trials)
+from bell_lab.sources import (SETTINGS_A, SETTINGS_B, BallTable, BallVariant,
+                              InstructionDist, generate_cfd_spreadsheet,
                               generate_tennis_balls, missing_pairs,
                               partial_anticorr, strict)
 
@@ -58,15 +62,6 @@ def test_gill_campaign_report_shape():
     assert isinstance(rep.qrc_won, bool)
     d = rep.to_dict()
     assert d["runs"] == 40 and len(d["per_run"]) == 40
-
-
-def test_gill_campaign_thread_invariant():
-    kw = dict(dist=InstructionDist.uniform(), n_rows=200, runs=16,
-              stream=RngStream(8))
-    serial = gill_campaign(threads=1, **kw)
-    pooled = gill_campaign(threads=4, **kw)
-    assert [r["s_value"] for r in serial.per_run] == \
-        [r["s_value"] for r in pooled.per_run]
 
 
 def test_campaign_report_optional_fields():
@@ -144,10 +139,10 @@ def test_vongher_run_rejects_unknown_source():
         vongher_run("classical", 10, rng(14))
 
 
-def test_vongher_trials_match_run_counters():
-    trials = vongher_trials(strict(), 500, rng(15))
-    run = vongher_run(strict(), 500, rng(15))
-    assert vongher_counters(trials) == run.counters
+def test_vongher_run_scores_its_table():
+    table = vongher_table(strict(), 500, rng(15))
+    assert sum(table.values()) == 500
+    assert vongher_run(strict(), 500, rng(15)).counters == vongher_counters(table)
 
 
 def test_strict_campaign_never_violates():
@@ -172,3 +167,104 @@ def test_partial_anticorr_campaign_violates_often():
 def test_partial_anticorr_disagreement_rate():
     table = generate_tennis_balls(20_000, partial_anticorr(0.87), rng(19))
     assert abs(np.mean(table.a0 != table.b0) - 0.87) < 0.01
+
+
+# ---------------------------------------------------------------------------
+# count tables drawn directly against the per-record samplers
+
+SLOT = {v: k for k, v in enumerate(OUTCOMES)}
+BALL_VARIANTS = (strict(), missing_pairs(0.1), partial_anticorr(0.87),
+                 BallVariant("strict", q=0.3, p_a3_flip=0.2, p_b2_flip=0.7,
+                             p_drop=0.25))
+
+
+def ball_law(variant):
+    """Cell law from generate_tennis_balls' bits: B0 uniform, then the
+    A0, A3 and B2 flips against B0 and the drop, read by measure_balls."""
+    law = np.zeros((2, 2, 3, 3))
+    chances = (0.5, variant.q, variant.p_a3_flip, variant.p_b2_flip,
+               variant.p_drop)
+    for bits in itertools.product((0, 1), repeat=5):
+        p = math.prod(c if bit else 1.0 - c for c, bit in zip(chances, bits))
+        b0, fa0, fa3, fb2, drop = bits
+        balls = BallTable(*(np.array([v], dtype=np.int8)
+                            for v in (b0 ^ fa0, b0 ^ fa3, b0, b0 ^ fb2)),
+                          prepared=np.array([not drop]))
+        for (ix, x), (iy, y) in itertools.product(enumerate(SETTINGS_A),
+                                                  enumerate(SETTINGS_B)):
+            a, b = measure_balls(balls, [x], [y])
+            law[ix, iy, SLOT[int(a[0])], SLOT[int(b[0])]] += p / 4
+    return law
+
+
+def singlet_law():
+    """Cell law from singlet_pairs at label x pi/8: side A a fair sign,
+    side B its negation with probability (1 + cos(theta_a - theta_b)) / 2."""
+    law = np.zeros((2, 2, 3, 3))
+    for (ix, x), (iy, y) in itertools.product(enumerate(SETTINGS_A),
+                                              enumerate(SETTINGS_B)):
+        p_anti = (1.0 + math.cos((x - y) * VONGHER_ANGLE_UNIT)) / 2.0
+        for a, anti in itertools.product((1, -1), (True, False)):
+            b = -a if anti else a
+            law[ix, iy, SLOT[a], SLOT[b]] += (p_anti if anti else 1 - p_anti) / 8
+    return law
+
+
+@pytest.mark.parametrize("variant", BALL_VARIANTS, ids=lambda v: repr(v))
+def test_ball_cell_probs_equal_the_bit_law(variant):
+    np.testing.assert_allclose(vongher_cell_probs(variant), ball_law(variant),
+                               rtol=0, atol=1e-15)
+
+
+def test_quantum_cell_probs_equal_the_singlet_law():
+    np.testing.assert_allclose(vongher_cell_probs(QUANTUM_SOURCE),
+                               singlet_law(), rtol=0, atol=1e-15)
+
+
+def test_cell_probs_reject_unknown_source():
+    with pytest.raises(ValueError):
+        vongher_cell_probs("classical")
+
+
+def assert_means_agree(drawn, oracle):
+    """Per-cell mean counts of two samples of runs agree within 4 SE."""
+    drawn, oracle = np.asarray(drawn, float), np.asarray(oracle, float)
+    se = np.sqrt(drawn.var(axis=0, ddof=1) / len(drawn)
+                 + oracle.var(axis=0, ddof=1) / len(oracle))
+    gap = np.abs(drawn.mean(axis=0) - oracle.mean(axis=0))
+    assert np.all(gap <= 4 * se), (gap, se)
+
+
+def group_counts(est):
+    """Equal and unequal counts per setting group of an all-coincident
+    ChshEstimate: n (1 + e) / 2 and n (1 - e) / 2."""
+    return [round(n * (1 + s * e) / 2) for e, n in
+            zip((est.e_ab, est.e_abp, est.e_apb, est.e_apbp), est.sizes)
+            for s in (1, -1)]
+
+
+def test_gill_tables_match_per_record_oracle():
+    dist = InstructionDist(tuple(np.random.default_rng(21).dirichlet([1] * 16)))
+    drawn, oracle = [], []
+    for i in range(400):
+        table = gill_table(dist, 200, RngStream(22, (0, i)).generator())
+        assert sum(table.values()) == 200 and list(table) == GILL_CELLS
+        drawn.append(group_counts(chsh(table)))
+        r = RngStream(22, (1, i)).generator()
+        oracle.append(group_counts(gill_subsample(
+            generate_cfd_spreadsheet(200, dist, r), r)))
+    assert_means_agree(drawn, oracle)
+
+
+@pytest.mark.parametrize("source", BALL_VARIANTS + (QUANTUM_SOURCE,),
+                         ids=lambda v: repr(v))
+def test_ball_tables_match_per_record_oracle(source):
+    drawn, oracle = [], []
+    for i in range(400):
+        drawn.append(list(vongher_table(
+            source, 200, RngStream(23, (0, i)).generator()).values()))
+        trials = vongher_trials(source, 200, RngStream(23, (1, i)).generator())
+        table = tabulate(trials, SETTINGS_A, SETTINGS_B)
+        assert list(table) == VONGHER_CELLS
+        oracle.append(list(table.values()))
+    assert_means_agree(drawn, oracle)
