@@ -3,7 +3,9 @@
 Subcommands cover the full pipeline: simulate raw event streams, pair
 them into trials, estimate statistics, run both computer-challenge
 campaigns, play the guessing game, test homogeneity, run the drifting
-device demo, and reproduce the headline numbers in one go.
+device demo, and reproduce the headline numbers in one go.  The module
+itself loads only the standard library; each command imports the library
+modules it runs, so ``--help`` and usage errors never load numpy.
 
 Every JSON summary embeds the command, package version, seed, stream,
 the resolved configuration, and the sample sizes, so a summary is a
@@ -21,13 +23,7 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import (__version__, bellgame, claims, estimators, pairing, randi,
-               sources, stats)
-from .core import (Events, RngStream, Trials, _read_columns, read_events,
-                   read_trials, tabulate, write_events, write_rows,
-                   write_trials)
+from . import __version__
 
 CONFIG_ERROR = 2
 UNDEFINED_STAT = 3
@@ -68,11 +64,7 @@ def _atomic_write(path: Path, writer) -> None:
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
+    if type(obj).__module__ == "numpy":  # numpy scalars/arrays, no import
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
@@ -105,7 +97,8 @@ def _emit(args, sizes: dict, results: dict, extra_files=()) -> None:
             _atomic_write(out_dir / name, writer)
 
 
-def _stream_of(args) -> RngStream:
+def _stream_of(args):
+    from .core import RngStream
     return RngStream(args.seed, (args.stream,))
 
 
@@ -134,6 +127,8 @@ def _parse_two(value, kind, name: str) -> tuple:
 # simulate
 
 def cmd_simulate(args) -> int:
+    import numpy as np
+    from . import core, estimators, sources
     n = args.n
     if n < 1:
         raise ValueError("--n must be >= 1")
@@ -152,16 +147,16 @@ def cmd_simulate(args) -> int:
         a, b = sources.contextual_batch(args.x, args.y, n, params, rng)
         label_a, label_b = args.x, args.y
 
-    trials = Trials(np.full(n, label_a), np.full(n, label_b), a, b)
-    events_a = Events(np.arange(n), trials.setting_a, trials.a)
-    events_b = Events(np.arange(n), trials.setting_b, trials.b)
-    results = {"correlation": estimators.correlation(tabulate(trials)),
+    trials = core.Trials(np.full(n, label_a), np.full(n, label_b), a, b)
+    events_a = core.Events(np.arange(n), trials.setting_a, trials.a)
+    events_b = core.Events(np.arange(n), trials.setting_b, trials.b)
+    results = {"correlation": estimators.correlation(core.tabulate(trials)),
                "n_coincident": int(trials.coincident.sum()),
                "mean_a": float(np.mean(a)), "mean_b": float(np.mean(b))}
     _emit(args, {"n": n}, results, extra_files=(
-        ("events_a.csv", lambda p: write_events(p, events_a)),
-        ("events_b.csv", lambda p: write_events(p, events_b)),
-        ("trials.csv", lambda p: write_trials(p, trials)),
+        ("events_a.csv", lambda p: core.write_events(p, events_a)),
+        ("events_b.csv", lambda p: core.write_events(p, events_b)),
+        ("trials.csv", lambda p: core.write_trials(p, trials)),
     ))
     return 0
 
@@ -183,8 +178,9 @@ def _parse_pairing(spec: str):
 
 
 def cmd_pair(args) -> int:
-    events_a = _read(read_events, args.events_a, "events")
-    events_b = _read(read_events, args.events_b, "events")
+    from . import core, pairing
+    events_a = _read(core.read_events, args.events_a, "events")
+    events_b = _read(core.read_events, args.events_b, "events")
     kind, param = _parse_pairing(args.pairing)
     pair = {"systematic": lambda ea, eb: pairing.pair_systematic(ea, eb, param),
             "random": lambda ea, eb: pairing.pair_random(
@@ -198,7 +194,8 @@ def cmd_pair(args) -> int:
            "n_trials": len(trials)},
           {"n_trials": len(trials), "n_coincident": n_coinc,
            "unmatched_a": unmatched_a, "unmatched_b": unmatched_b},
-          extra_files=(("trials.csv", lambda p: write_trials(p, trials)),))
+          extra_files=(("trials.csv",
+                        lambda p: core.write_trials(p, trials)),))
     return 0
 
 
@@ -206,11 +203,12 @@ def cmd_pair(args) -> int:
 # estimate
 
 def cmd_estimate(args) -> int:
-    trials = _read(read_trials, args.input, "trials")
+    from . import core, estimators, pairing
+    trials = _read(core.read_trials, args.input, "trials")
     coincident_only = not args.include_no_counts
     a_labels = _parse_two(args.a_labels, int, "--a-labels")
     b_labels = _parse_two(args.b_labels, int, "--b-labels")
-    table = tabulate(trials)
+    table = core.tabulate(trials)
 
     if args.stat == "correlation":
         results = {"correlation": estimators.correlation(table, coincident_only)}
@@ -247,7 +245,8 @@ def cmd_estimate(args) -> int:
 # ---------------------------------------------------------------------------
 # campaigns
 
-def _gill_dist(args) -> sources.InstructionDist:
+def _gill_dist(args):
+    from . import sources
     kind, _, param = str(args.generator).partition(":")
     if kind == "uniform":
         return sources.InstructionDist.uniform()
@@ -261,6 +260,7 @@ def _gill_dist(args) -> sources.InstructionDist:
 
 
 def cmd_qrc_gill(args) -> int:
+    from . import core, randi
     dist = _gill_dist(args)
     report = randi.gill_campaign(dist, args.rows, args.runs, _stream_of(args))
     results = report.to_dict()
@@ -268,13 +268,14 @@ def cmd_qrc_gill(args) -> int:
     rows = [(r["run"], r["s_value"], int(r["violated"]), *r["sizes"])
             for r in per_run]
     _emit(args, {"runs": args.runs, "rows": args.rows}, results,
-          extra_files=(("per_run.csv", lambda p: write_rows(
+          extra_files=(("per_run.csv", lambda p: core.write_rows(
               p, ("run", "s_value", "violated",
                   "n_ab", "n_abp", "n_apb", "n_apbp"), rows)),))
     return 0
 
 
 def _vongher_source(args):
+    from . import randi, sources
     if args.variant == "quantum":
         return randi.QUANTUM_SOURCE
     if args.variant == "strict":
@@ -285,6 +286,7 @@ def _vongher_source(args):
 
 
 def cmd_qrc_vongher(args) -> int:
+    from . import core, randi
     report = randi.vongher_campaign(_vongher_source(args), args.runs,
                                     args.pairs, _stream_of(args))
     results = report.to_dict()
@@ -296,7 +298,8 @@ def cmd_qrc_vongher(args) -> int:
               "chsh_violated", "n_e0", "n_e1", "n_e2", "n_e3",
               "n_u0", "n_u1", "n_u2", "n_u3")
     _emit(args, {"runs": args.runs, "pairs": args.pairs}, results,
-          extra_files=(("per_run.csv", lambda p: write_rows(p, header, rows)),))
+          extra_files=(("per_run.csv",
+                        lambda p: core.write_rows(p, header, rows)),))
     return 0
 
 
@@ -304,6 +307,7 @@ def cmd_qrc_vongher(args) -> int:
 # bell game
 
 def _game_strategy(args):
+    from . import bellgame, core
     if args.strategy == "fixed":
         return bellgame.FixedProgramStrategy(args.i, args.j)
     if args.strategy == "random":
@@ -314,13 +318,14 @@ def _game_strategy(args):
         return bellgame.QuantumStrategy()
     script = bellgame.PERFECT_SCRIPT
     if args.script is not None:
-        columns = _read(lambda p: _read_columns(p, ("i", "j", "x", "y")),
+        columns = _read(lambda p: core._read_columns(p, ("i", "j", "x", "y")),
                         args.script, "script")
         script = tuple(zip(*(c.tolist() for c in columns)))
     return bellgame.ScriptedStrategy(script)
 
 
 def cmd_bellgame(args) -> int:
+    from . import bellgame, core
     if args.rounds < 1:
         raise ValueError("--rounds must be >= 1")
     strategy = _game_strategy(args)
@@ -332,7 +337,7 @@ def cmd_bellgame(args) -> int:
     rows = [(k + 1, r.i, r.j, r.x, r.y, r.a, r.b, int(r.point))
             for k, r in enumerate(result.log)]
     _emit(args, {"rounds": args.rounds}, results,
-          extra_files=(("rounds.csv", lambda p: write_rows(
+          extra_files=(("rounds.csv", lambda p: core.write_rows(
               p, ("minute", "i", "j", "x", "y", "a", "b", "point"), rows)),))
     return 0
 
@@ -340,8 +345,10 @@ def cmd_bellgame(args) -> int:
 # ---------------------------------------------------------------------------
 # homogeneity / breakdown
 
-def _homogeneity_for(values: np.ndarray, args) -> dict:
+def _homogeneity_for(values, args) -> dict:
     """chi_square reads the raw stream; ks/runs read bin means when binned."""
+    import numpy as np
+    from . import stats
     binned = values
     if args.bins:
         if len(values) < args.bins:
@@ -360,6 +367,8 @@ def _homogeneity_for(values: np.ndarray, args) -> dict:
 
 
 def cmd_homogeneity(args) -> int:
+    import numpy as np
+    from .core import read_events
     events = _read(read_events, args.input, "events")
     if not len(events):
         raise ValueError("no events in input")
@@ -376,7 +385,8 @@ def cmd_homogeneity(args) -> int:
     return 0
 
 
-def _parse_breakdown_spec(d: dict) -> stats.DriftingDeviceSpec:
+def _parse_breakdown_spec(d: dict):
+    from . import stats
     try:
         raw = d["values"]  # the config loader may have eval'd "0,2" already
         parts = raw if isinstance(raw, (tuple, list)) else str(raw).split(",")
@@ -392,6 +402,7 @@ def _parse_breakdown_spec(d: dict) -> stats.DriftingDeviceSpec:
 
 
 def cmd_breakdown(args) -> int:
+    from . import stats
     spec = None
     if args.spec is not None:
         spec = _parse_breakdown_spec(_load_config(args.spec))
@@ -406,6 +417,10 @@ def cmd_breakdown(args) -> int:
 # reproduce
 
 def cmd_reproduce(args) -> int:
+    from . import claims
+    if args.target != "all" and args.target not in claims.TARGETS:
+        raise ValueError(f"--target {args.target!r} is not all or one of "
+                         f"{', '.join(claims.TARGETS)}")
     names = list(claims.TARGETS) if args.target == "all" else [args.target]
     checks = [c for name in names
               for c in claims.run(name, args.seed, args.stream)]
@@ -443,8 +458,8 @@ def build_parser():
                     help="analyzer centers in radians, e.g. 0,0.7854")
     sp.add_argument("--half-width-a", type=float, default=0.0)
     sp.add_argument("--half-width-b", type=float, default=0.0)
-    sp.add_argument("--jitter-weight", choices=sources.JITTER_WEIGHTS,
-                    default="uniform")
+    sp.add_argument("--jitter-weight", default="uniform",
+                    choices=("uniform", "truncated_gaussian"))
     sp.add_argument("--x", type=int, default=0, help="contextual setting, side A")
     sp.add_argument("--y", type=int, default=0, help="contextual setting, side B")
     sp.add_argument("--gamma", type=float, default=0.5)
@@ -535,7 +550,7 @@ def build_parser():
 
     sp = sub.add_parser("reproduce", help="re-derive the headline numbers")
     sp.add_argument("--target", default="all",
-                    choices=("all",) + tuple(claims.TARGETS))
+                    help="all or one claims target (default all)")
     _add_common(sp)
     sp.set_defaults(func=cmd_reproduce)
 

@@ -96,11 +96,13 @@ def pair_time_window(events_a: Events, events_b: Events,
             j += 1
         else:
             partner.append(-1)
-    lone_b = np.setdiff1d(np.arange(nb), partner)
+    partner = np.array(partner, dtype=np.int64)
+    times_taken = np.bincount(partner[partner >= 0], minlength=nb)
+    lone_b = np.flatnonzero(times_taken == 0)
     # rows: every side-A event with its partner, then the lone side-B
     # events; the sort below is stable, so equal keys keep this order
     ia = np.concatenate([np.arange(len(events_a)), np.full(len(lone_b), -1)])
-    ib = np.concatenate([np.array(partner, dtype=np.int64), lone_b])
+    ib = np.concatenate([partner, lone_b])
     order = np.lexsort((ia < 0, np.minimum(wa[ia], wb[ib])))
     ia, ib = ia[order], ib[order]
     return Trials(sa[ia], sb[ib], oa[ia], ob[ib])

@@ -383,13 +383,17 @@ def contextual_batch(x: int, y: int, n: int, params: ContextualParams,
     if params.response == "constant_plus":
         one = np.ones(n, dtype=np.int8)
         return one, one.copy()
-    phi = rng.random(n) * 2.0 * np.pi
-    lam_a = rng.random(n)
-    lam_b = rng.random(n)
-    ca = np.cos(2.0 * (phi - theta_x))
-    cb = np.cos(2.0 * (phi - theta_y))
-    a = np.where(np.abs(ca) >= params.tau0 * lam_a ** params.gamma,
-                 np.sign(ca), 0.0).astype(np.int8)
-    b = np.where(np.abs(cb) >= params.tau0 * lam_b ** params.gamma,
-                 -np.sign(cb), 0.0).astype(np.int8)
-    return a, b
+    phi = rng.random(n) * 2.0
+    phi *= np.pi
+    out = []
+    for theta in (theta_x, theta_y):  # in place: no float temporaries
+        lam = rng.random(n)  # side A's noise, then side B's
+        lam **= params.gamma
+        lam *= params.tau0
+        c = phi - theta
+        np.cos(np.multiply(c, 2.0, out=c), out=c)
+        sign = np.sign(c, out=np.empty(n, np.int8), casting="unsafe")
+        sign *= np.abs(c, out=c) >= lam
+        out.append(sign)
+    out[1] *= -1  # side B reports the opposite sign
+    return tuple(out)

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import bell_lab
-from bell_lab.cli import main
+from bell_lab import sources
+from bell_lab.cli import build_parser, main
 import numpy as np
 
 from bell_lab.core import Trials, write_trials
@@ -41,7 +42,7 @@ def test_version_flag(capsys):
 
 
 def test_unknown_choice_is_a_usage_error(capsys):
-    assert main(["reproduce", "--target", "everything"]) == 2
+    assert main(["simulate", "--model", "everything"]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +350,19 @@ def test_reproduce_pairing_target(capsys):
     assert "[ok] pairing-offsets" in checks
 
 
+def test_reproduce_rejects_an_unknown_target(capsys, tmp_path):
+    assert_one_line_error(capsys, ["reproduce", "--target", "bogus"], "bogus")
+    cfg = tmp_path / "target.cfg"
+    cfg.write_text("target = bogus\n")
+    assert_one_line_error(capsys, ["reproduce", "--config", str(cfg)], "bogus")
+
+
+def test_jitter_weight_choices_are_the_library_weights():
+    simulate = build_parser()[1].choices["simulate"]
+    weight = next(a for a in simulate._actions if a.dest == "jitter_weight")
+    assert weight.choices == sources.JITTER_WEIGHTS
+
+
 # ---------------------------------------------------------------------------
 # malformed input and out-of-domain parameters exit 2 with one line
 
@@ -444,13 +458,38 @@ def test_threads_is_no_flag(capsys, command):
     assert main([command, "--threads", "2"]) == 2
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
+# ---------------------------------------------------------------------------
+# cold start: the CLI loads a library module only when a command runs it
+
+def loaded_after(code: str) -> set:
+    """Modules outside the standard library that code loads when it runs
+    in a new interpreter."""
     src = str(Path(bell_lab.__file__).resolve().parents[1])
-    code = (f"import sys; sys.path.insert(0, {src!r}); import bell_lab.cli; "
-            "print('scipy.stats' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    prog = (f"import sys; sys.path.insert(0, {src!r}); old = set(sys.modules)"
+            f"\n{code}\nprint(*(m for m in set(sys.modules) - old"
+            " if m.split('.')[0] not in sys.stdlib_module_names))")
+    out = subprocess.run([sys.executable, "-c", prog], capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "False"
+    return set(out.splitlines()[-1].split())
+
+
+def test_cli_import_loads_only_the_standard_library():
+    assert loaded_after("import bell_lab.cli") == {"bell_lab", "bell_lab.cli"}
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"],
+                                  ["simulate", "--model", "bogus"]])
+def test_help_version_and_usage_errors_leave_numpy_unloaded(argv):
+    code = f"from bell_lab.cli import main; assert main({argv!r}) in (0, 2)"
+    assert "numpy" not in loaded_after(code)
+
+
+def test_a_command_loads_only_the_modules_it_runs():
+    loaded = loaded_after("from bell_lab.cli import main; assert main("
+                          "['qrc-gill', '--runs', '2', '--rows', '40']) == 0")
+    assert {"numpy", "bell_lab.randi"} <= loaded
+    assert not loaded & {"bell_lab.stats", "bell_lab.bellgame",
+                         "bell_lab.claims", "scipy.stats"}
 
 
 # ---------------------------------------------------------------------------
