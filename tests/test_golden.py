@@ -50,6 +50,18 @@ GOLDEN = {
         "a192d39283d885d1b978281efbf8824a7a4a1581253928a09c4166b5f1695808",
     "breakdown/summary.json":
         "55a534d5ebdbb61a05c3c188cd8bdba781eb0dd59589d7eec89e2abf0a2608a4",
+    "game-scripted/rounds.csv":
+        "1399b04dc85d7de8ac740a23d0c16837a4c7c202372c49168df0d6ffed4df29e",
+    "game-scripted/summary.json":
+        "997396766d54c699ba2ccfc910e392e173dc1e04f68a037f2d3940157c5a85e4",
+    "game-quantum/rounds.csv":
+        "7504e207a43a241f51a2a98d215b41304f6bb21814b027ac7a37b6bc3efff33a",
+    "game-quantum/summary.json":
+        "ece2b90d8f631b0c9eb1b48ef7aa47ca6fd1a523a75dd8992c5a763c2c4ffdf1",
+    "game-random/rounds.csv":
+        "c5e64bdd550b9abc6a072c798d0235fe9445e08aa745c00b0bf615f7210fcf87",
+    "game-random/summary.json":
+        "d9bda665326b1c314e9563069cdd5a44c204050e15ecb0c4a15871d29ed33ca7",
 }
 
 COMMANDS = {
@@ -74,6 +86,11 @@ COMMANDS = {
                 "--runs", "12", "--seed", "6"],
     "breakdown": ["breakdown", "--runs", "100", "--run-len", "500",
                   "--seed", "8"],
+    "game-scripted": ["bellgame", "--strategy", "scripted", "--rounds", "8"],
+    "game-quantum": ["bellgame", "--strategy", "quantum", "--rounds", "200",
+                     "--seed", "9"],
+    "game-random": ["bellgame", "--strategy", "random", "--rounds", "200",
+                    "--seed", "9"],
 }
 
 
