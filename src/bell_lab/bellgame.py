@@ -11,7 +11,7 @@ quantum strategy scores every round with probability cos^2(pi/8).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -20,6 +20,9 @@ QUANTUM_POINT_PROB = math.cos(math.pi / 8) ** 2
 
 PROGRAM_IDS = (1, 2, 3, 4)
 
+# _OUTPUTS[i - 1, x]: program i answers 0, 1, x or 1 - x on input bit x
+_OUTPUTS = np.array([[0, 0], [1, 1], [0, 1], [1, 0]], dtype=np.int64)
+
 
 def program_output(i: int, x: int) -> int:
     """Answer of program i on input bit x: 0, 1, x, or 1 - x."""
@@ -27,10 +30,11 @@ def program_output(i: int, x: int) -> int:
         raise ValueError(f"program id must be in {PROGRAM_IDS}")
     if x not in (0, 1):
         raise ValueError("input must be a bit")
-    return (0, 1, x, 1 - x)[i - 1]
+    return int(_OUTPUTS[i - 1, x])
 
 
-def is_point(x: int, y: int, a: int, b: int) -> bool:
+def is_point(x, y, a, b):
+    """Whether answers a, b score on inputs x, y; elementwise on arrays."""
     return (a + b) % 2 == x * y
 
 
@@ -63,24 +67,13 @@ def counterfactual_table() -> list[CounterfactualRow]:
     return rows
 
 
-@dataclass(frozen=True)
-class Round:
-    x: int
-    y: int
-    i: int | None
-    j: int | None
-    a: int
-    b: int
-
-    @property
-    def point(self) -> bool:
-        return is_point(self.x, self.y, self.a, self.b)
+def _run(i: np.ndarray, j: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
+    """Programs i and j played on inputs x and y: the columns (i, j, a, b)."""
+    return i, j, _OUTPUTS[i - 1, x], _OUTPUTS[j - 1, y]
 
 
 class FixedProgramStrategy:
     """Both players run the same committed programs every round."""
-
-    provides_settings = False
 
     def __init__(self, i: int, j: int):
         program_output(i, 0)
@@ -88,21 +81,19 @@ class FixedProgramStrategy:
         self.i = i
         self.j = j
 
-    def play(self, x: int, y: int, rng: np.random.Generator) -> Round:
-        return Round(x, y, self.i, self.j,
-                     program_output(self.i, x), program_output(self.j, y))
+    def answers(self, x: np.ndarray, y: np.ndarray,
+                rng: np.random.Generator) -> tuple:
+        return _run(np.full(len(x), self.i), np.full(len(y), self.j), x, y)
 
 
 class RandomProgramStrategy:
-    """Fresh independent program picks each round; i is drawn before j."""
+    """Fresh independent program picks each round; the i column is drawn
+    before the j column."""
 
-    provides_settings = False
-
-    def play(self, x: int, y: int, rng: np.random.Generator) -> Round:
-        i = int(rng.integers(1, 5))
-        j = int(rng.integers(1, 5))
-        return Round(x, y, i, j,
-                     program_output(i, x), program_output(j, y))
+    def answers(self, x: np.ndarray, y: np.ndarray,
+                rng: np.random.Generator) -> tuple:
+        return _run(rng.integers(1, 5, size=len(x)),
+                    rng.integers(1, 5, size=len(y)), x, y)
 
 
 class ScriptedStrategy:
@@ -112,23 +103,19 @@ class ScriptedStrategy:
     usual random input draws.
     """
 
-    provides_settings = True
-
     def __init__(self, script: Sequence[tuple]):
-        if not script:
+        rows = [tuple(int(v) for v in row) for row in script]
+        if not rows:
             raise ValueError("script must be non-empty")
-        self.script = tuple(tuple(int(v) for v in row) for row in script)
-        self._pos = 0
+        for i, j, x, y in rows:
+            program_output(i, x)
+            program_output(j, y)
+        self.script = np.array(rows, dtype=np.int64)
 
-    def next_settings(self) -> tuple[int, int]:
-        _, _, x, y = self.script[self._pos % len(self.script)]
-        return x, y
-
-    def play(self, x: int, y: int, rng: np.random.Generator) -> Round:
-        i, j, _, _ = self.script[self._pos % len(self.script)]
-        self._pos += 1
-        return Round(x, y, i, j,
-                     program_output(i, x), program_output(j, y))
+    def answers(self, x: np.ndarray, y: np.ndarray,
+                rng: np.random.Generator) -> tuple:
+        i, j = (np.resize(c, len(x)) for c in self.script[:, :2].T)
+        return _run(i, j, x, y)
 
 
 # the script that wins all four input pairs once each, in the order
@@ -139,50 +126,65 @@ PERFECT_SCRIPT = ((1, 1, 0, 0), (2, 2, 0, 1), (4, 3, 1, 1), (3, 4, 1, 0))
 class ContextualProgramStrategy:
     """Program picks driven by a shared round phase plus private noise.
 
-    Per round the draws are: shared phase u, side-A noise, side-B noise.
-    Each side's program index depends only on its own (u, noise), never
-    on the other side's input.
+    The draws are three columns: shared phase u, side-A noise, side-B
+    noise.  Each side's program index depends only on its own (u, noise),
+    never on the other side's input.
     """
-
-    provides_settings = False
 
     def __init__(self, wobble: float = 0.25):
         if not 0.0 <= wobble <= 1.0:
             raise ValueError("wobble must lie in [0, 1]")
         self.wobble = wobble
 
-    def play(self, x: int, y: int, rng: np.random.Generator) -> Round:
-        u = rng.random()
-        na = rng.random()
-        nb = rng.random()
-        i = 1 + int(4.0 * ((u + self.wobble * na) % 1.0)) % 4
-        j = 1 + int(4.0 * ((u + self.wobble * nb) % 1.0)) % 4
-        return Round(x, y, i, j,
-                     program_output(i, x), program_output(j, y))
+    def answers(self, x: np.ndarray, y: np.ndarray,
+                rng: np.random.Generator) -> tuple:
+        u = rng.random(len(x))
+        na = rng.random(len(x))
+        nb = rng.random(len(x))
+        i, j = (1 + (4.0 * ((u + self.wobble * n) % 1.0)).astype(np.int64) % 4
+                for n in (na, nb))
+        return _run(i, j, x, y)
 
 
 class QuantumStrategy:
     """The optimal shared-entanglement behavior.
 
     Scores with probability cos^2(pi/8) on every input pair, with
-    uniform answer marginals on both sides.  Draw order: side-A answer
-    bit, then the success draw that fixes side B.
+    uniform answer marginals on both sides.  It runs no programs, so i
+    and j are None.  Draw order: the side-A answer column, then the
+    success column that fixes side B.
     """
 
-    provides_settings = False
-
-    def play(self, x: int, y: int, rng: np.random.Generator) -> Round:
-        a = int(rng.integers(0, 2))
-        win = rng.random() < QUANTUM_POINT_PROB
-        b = (x * y - a) % 2 if win else (x * y - a + 1) % 2
-        return Round(x, y, None, None, a, b)
+    def answers(self, x: np.ndarray, y: np.ndarray,
+                rng: np.random.Generator) -> tuple:
+        a = rng.integers(0, 2, size=len(x))
+        lose = rng.random(len(x)) >= QUANTUM_POINT_PROB
+        return None, None, a, (x * y - a + lose) % 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GameResult:
-    rounds_played: int
-    points: int
-    log: tuple = ()
+    """One game as columns: inputs x, y; programs i, j (None when the
+    strategy runs none); answers a, b."""
+
+    x: np.ndarray
+    y: np.ndarray
+    i: np.ndarray | None
+    j: np.ndarray | None
+    a: np.ndarray
+    b: np.ndarray
+
+    @property
+    def point(self) -> np.ndarray:
+        return is_point(self.x, self.y, self.a, self.b)
+
+    @property
+    def points(self) -> int:
+        return int(np.count_nonzero(self.point))
+
+    @property
+    def rounds_played(self) -> int:
+        return len(self.x)
 
     @property
     def avg_score(self) -> float:
@@ -192,29 +194,14 @@ class GameResult:
         return 4.0 * self.points / self.rounds_played
 
 
-def play_round(strategy, x: int, y: int, rng: np.random.Generator) -> Round:
-    for v in (x, y):
-        if v not in (0, 1):
-            raise ValueError("inputs must be bits")
-    return strategy.play(x, y, rng)
-
-
-def play_game(strategy, rounds: int, rng: np.random.Generator,
-              keep_log: bool = False) -> GameResult:
-    """Play rounds with fair random inputs (x before y) unless the
-    strategy supplies its own."""
+def play_game(strategy, rounds: int, rng: np.random.Generator) -> GameResult:
+    """Play rounds with fair random inputs (the x column before the y
+    column), or with a scripted strategy's own inputs."""
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
-    points = 0
-    log = []
-    for _ in range(rounds):
-        if strategy.provides_settings:
-            x, y = strategy.next_settings()
-        else:
-            x = int(rng.integers(0, 2))
-            y = int(rng.integers(0, 2))
-        r = play_round(strategy, x, y, rng)
-        points += r.point
-        if keep_log:
-            log.append(r)
-    return GameResult(rounds, points, tuple(log))
+    if isinstance(strategy, ScriptedStrategy):
+        x, y = (np.resize(c, rounds) for c in strategy.script[:, 2:].T)
+    else:
+        x = rng.integers(0, 2, size=rounds)
+        y = rng.integers(0, 2, size=rounds)
+    return GameResult(x, y, *strategy.answers(x, y, rng))

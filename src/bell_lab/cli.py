@@ -330,15 +330,22 @@ def cmd_bellgame(args) -> int:
         raise ValueError("--rounds must be >= 1")
     strategy = _game_strategy(args)
     rng = _stream_of(args).generator()
-    result = bellgame.play_game(strategy, args.rounds, rng,
-                                keep_log=args.out is not None)
-    results = {"rounds": result.rounds_played, "points": result.points,
-               "avg_score": result.avg_score}
-    rows = [(k + 1, r.i, r.j, r.x, r.y, r.a, r.b, int(r.point))
-            for k, r in enumerate(result.log)]
+    res = bellgame.play_game(strategy, args.rounds, rng)
+    results = {"rounds": res.rounds_played, "points": res.points,
+               "avg_score": res.avg_score}
+
+    def write_rounds(path):
+        # a strategy that runs no programs leaves the i and j cells blank
+        programs = ([None] * res.rounds_played if c is None else c.tolist()
+                    for c in (res.i, res.j))
+        columns = (res.x, res.y, res.a, res.b, res.point.astype(int))
+        rows = zip(range(1, res.rounds_played + 1), *programs,
+                   *(c.tolist() for c in columns))
+        core.write_rows(path, ("minute", "i", "j", "x", "y", "a", "b",
+                               "point"), rows)
+
     _emit(args, {"rounds": args.rounds}, results,
-          extra_files=(("rounds.csv", lambda p: core.write_rows(
-              p, ("minute", "i", "j", "x", "y", "a", "b", "point"), rows)),))
+          extra_files=(("rounds.csv", write_rounds),))
     return 0
 
 

@@ -21,8 +21,6 @@ MINUS = -1
 NO_COUNT = 0
 OUTCOMES = (PLUS, MINUS, NO_COUNT)
 
-TWO_PI = 2.0 * np.pi
-
 
 def check_outcome(value) -> int:
     """Validate a single ternary outcome, returning it as a plain int."""
@@ -46,13 +44,6 @@ def check_outcomes(values) -> np.ndarray:
         bad = arr[(arr < MINUS) | (arr > PLUS)][0]
         raise ValueError(f"outcome must be one of {OUTCOMES}, got {int(bad)!r}")
     return arr.astype(np.int8, copy=False)
-
-
-def wrap_angle(theta: float) -> float:
-    """Reduce an angle to the canonical interval [0, 2*pi)."""
-    w = float(np.mod(theta, TWO_PI))
-    # tiny negative inputs round up to the modulus itself
-    return 0.0 if w >= TWO_PI else w
 
 
 @dataclass(frozen=True)

@@ -19,15 +19,13 @@ their draw order, so identical streams replay identical records.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .core import MINUS, PLUS, write_rows
+from .core import MINUS, PLUS
 
 
 # ---------------------------------------------------------------------------
@@ -188,17 +186,6 @@ class Spreadsheet4:
         a, ap, b, bp = (self.rows[:, k].astype(np.int64) for k in range(4))
         return row_combination(a, ap, b, bp)
 
-    def write_csv(self, path) -> None:
-        write_rows(path, ("a", "a_prime", "b", "b_prime"), self.rows.tolist())
-
-    @classmethod
-    def read_csv(cls, path) -> "Spreadsheet4":
-        with open(path, newline="") as fh:
-            rdr = csv.reader(fh)
-            next(rdr)
-            rows = [[int(v) for v in line] for line in rdr]
-        return cls(np.array(rows, dtype=np.int8).reshape(-1, 4))
-
 
 def generate_cfd_spreadsheet(n_rows: int, dist: InstructionDist,
                              rng: np.random.Generator) -> Spreadsheet4:
@@ -270,22 +257,6 @@ def partial_anticorr(q: float, p_a3_flip: float = 0.0075,
 
 
 @dataclass(frozen=True)
-class BallPair:
-    """Answer bits for one prepared pair; bits are 0/1 as printed on the ball."""
-
-    a0: int
-    a3: int
-    b0: int
-    b2: int
-    prepared: bool = True
-
-    def __post_init__(self):
-        for v in (self.a0, self.a3, self.b0, self.b2):
-            if v not in (0, 1):
-                raise ValueError("ball answers are bits")
-
-
-@dataclass(frozen=True)
 class BallTable:
     """Column store of generated ball pairs."""
 
@@ -297,18 +268,6 @@ class BallTable:
 
     def __len__(self) -> int:
         return self.a0.shape[0]
-
-    def __getitem__(self, i: int) -> BallPair:
-        return BallPair(int(self.a0[i]), int(self.a3[i]), int(self.b0[i]),
-                        int(self.b2[i]), bool(self.prepared[i]))
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-    def write_csv(self, path) -> None:
-        columns = (self.a0, self.a3, self.b0, self.b2, self.prepared)
-        write_rows(path, ("a0", "a3", "b0", "b2", "prepared"),
-                   zip(*(c.astype(int).tolist() for c in columns)))
 
 
 def generate_tennis_balls(n_pairs: int, variant: BallVariant,

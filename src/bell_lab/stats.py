@@ -197,11 +197,6 @@ def homogeneity_test(values, method: str = "chi_square",
     raise ValueError(f"method must be one of {HOMOGENEITY_METHODS}")
 
 
-def homogeneity_battery(values, n_parts: int = 2) -> dict:
-    return {m: homogeneity_test(values, m, n_parts if m == "chi_square" else 2)
-            for m in HOMOGENEITY_METHODS}
-
-
 # ---------------------------------------------------------------------------
 # drifting-device breakdown demo
 

@@ -1,13 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 
 from bell_lab.bellgame import (INPUT_PAIRS, PERFECT_SCRIPT, PROGRAM_IDS,
                                QUANTUM_POINT_PROB, ContextualProgramStrategy,
                                FixedProgramStrategy, GameResult,
-                               QuantumStrategy, RandomProgramStrategy, Round,
+                               QuantumStrategy, RandomProgramStrategy,
                                ScriptedStrategy, counterfactual_table,
-                               is_point, play_game, play_round, program_output)
+                               is_point, play_game, program_output)
 from bell_lab.core import RngStream
 
 
@@ -64,14 +65,30 @@ def test_perfect_script_rows_win_their_own_round():
 # ---------------------------------------------------------------------------
 # strategies
 
+# the four input pairs as two columns
+XS, YS = (np.array(c) for c in zip(*INPUT_PAIRS))
+
+
 def test_fixed_strategy_replays_the_table():
-    table = {(r.i, r.j): r for r in counterfactual_table()}
-    strat = FixedProgramStrategy(2, 3)
-    for x, y in INPUT_PAIRS:
-        r = play_round(strat, x, y, rng())
-        assert (r.a, r.b) == table[(2, 3)].answers[(x, y)]
+    for row in counterfactual_table():
+        i, j, a, b = FixedProgramStrategy(row.i, row.j).answers(XS, YS, rng())
+        assert i.tolist() == [row.i] * 4 and j.tolist() == [row.j] * 4
+        assert list(zip(a.tolist(), b.tolist())) == [
+            row.answers[xy] for xy in INPUT_PAIRS]
     with pytest.raises(ValueError):
         FixedProgramStrategy(0, 1)
+
+
+def test_program_strategies_answer_with_their_programs():
+    # whatever programs a strategy picks, its answers are theirs
+    for strat in (RandomProgramStrategy(), ContextualProgramStrategy(0.25),
+                  ScriptedStrategy(PERFECT_SCRIPT)):
+        res = play_game(strat, 400, rng(9))
+        assert set(res.i.tolist()) <= set(PROGRAM_IDS)
+        assert res.a.tolist() == [program_output(i, x) for i, x in
+                                  zip(res.i.tolist(), res.x.tolist())]
+        assert res.b.tolist() == [program_output(j, y) for j, y in
+                                  zip(res.j.tolist(), res.y.tolist())]
 
 
 def test_fixed_strategy_average_tracks_its_score():
@@ -80,13 +97,21 @@ def test_fixed_strategy_average_tracks_its_score():
 
 
 def test_scripted_strategy_cycles_and_scores_perfectly():
-    res = play_game(ScriptedStrategy(PERFECT_SCRIPT), 8, rng(2), keep_log=True)
+    res = play_game(ScriptedStrategy(PERFECT_SCRIPT), 8, rng(2))
     assert res.points == 8
     assert res.avg_score == 4.0
-    assert [(r.x, r.y) for r in res.log[:4]] == list(
-        (x, y) for _, _, x, y in PERFECT_SCRIPT)
+    script = np.array(PERFECT_SCRIPT * 2)
+    assert res.x.tolist() == script[:, 2].tolist()
+    assert res.y.tolist() == script[:, 3].tolist()
+    assert res.i.tolist() == script[:, 0].tolist()
+    assert res.j.tolist() == script[:, 1].tolist()
+
+
+@pytest.mark.parametrize("script", [(), ((5, 1, 0, 0),), ((1, 1, 2, 0),),
+                                    ((1, 1, 0),)])
+def test_scripted_strategy_rejects_bad_rows(script):
     with pytest.raises(ValueError):
-        ScriptedStrategy(())
+        ScriptedStrategy(script)
 
 
 def test_random_strategy_averages_two():
@@ -97,49 +122,46 @@ def test_random_strategy_averages_two():
 def test_contextual_strategy_wobble():
     with pytest.raises(ValueError):
         ContextualProgramStrategy(wobble=1.5)
-    frozen = ContextualProgramStrategy(wobble=0.0)
-    for _ in range(50):  # zero wobble: both sides decode the same program
-        r = play_round(frozen, 0, 1, rng(4))
-        assert r.i == r.j
+    # zero wobble: both sides decode the same program
+    res = play_game(ContextualProgramStrategy(wobble=0.0), 500, rng(4))
+    assert np.array_equal(res.i, res.j)
     res = play_game(ContextualProgramStrategy(0.25), 5000, rng(5))
     assert res.avg_score <= 3.0 + 0.15  # shared randomness cannot beat programs
 
 
 def test_quantum_strategy_point_rate():
-    res = play_game(QuantumStrategy(), 20_000, rng(6), keep_log=True)
+    res = play_game(QuantumStrategy(), 20_000, rng(6))
+    assert res.i is None and res.j is None  # it runs no programs
     assert res.avg_score == pytest.approx(4 * QUANTUM_POINT_PROB, abs=0.05)
     assert res.avg_score == pytest.approx(2 + math.sqrt(2), abs=0.05)
     # answers stay uniform on side A
-    mean_a = sum(r.a for r in res.log) / len(res.log)
-    assert mean_a == pytest.approx(0.5, abs=0.02)
+    assert res.a.mean() == pytest.approx(0.5, abs=0.02)
 
 
 # ---------------------------------------------------------------------------
 # game bookkeeping
 
-def test_play_round_validates_inputs():
-    with pytest.raises(ValueError):
-        play_round(RandomProgramStrategy(), 2, 0, rng())
-
-
-def test_round_point_property():
-    assert Round(0, 0, 1, 1, 0, 0).point
-    assert not Round(1, 1, 1, 1, 0, 0).point
-
-
 def test_game_result_bookkeeping():
-    res = play_game(RandomProgramStrategy(), 200, rng(7), keep_log=True)
+    res = play_game(RandomProgramStrategy(), 200, rng(7))
     assert res.rounds_played == 200
-    assert len(res.log) == 200
-    assert res.points == sum(r.point for r in res.log)
-    assert all(r.x in (0, 1) and r.y in (0, 1) for r in res.log)
+    assert all(len(c) == 200 for c in (res.x, res.y, res.i, res.j, res.a,
+                                       res.b, res.point))
+    assert res.point.tolist() == [is_point(*r) for r in zip(
+        res.x.tolist(), res.y.tolist(), res.a.tolist(), res.b.tolist())]
+    assert res.points == sum(res.point.tolist())
+    assert set(res.x.tolist()) == set(res.y.tolist()) == {0, 1}
+    empty = np.zeros(0, dtype=np.int64)
     with pytest.raises(ValueError):
-        GameResult(0, 0).avg_score
+        GameResult(empty, empty, None, None, empty, empty).avg_score
     with pytest.raises(ValueError):
         play_game(RandomProgramStrategy(), -1, rng())
 
 
 def test_game_deterministic_under_stream():
-    r1 = play_game(QuantumStrategy(), 500, rng(8))
-    r2 = play_game(QuantumStrategy(), 500, rng(8))
-    assert r1.points == r2.points
+    for strat in (RandomProgramStrategy(), ContextualProgramStrategy(0.25),
+                  QuantumStrategy()):
+        r1 = play_game(strat, 500, rng(8))
+        r2 = play_game(strat, 500, rng(8))
+        for name in ("x", "y", "i", "j", "a", "b"):
+            c1, c2 = getattr(r1, name), getattr(r2, name)
+            assert (c1 is c2 is None) or np.array_equal(c1, c2), name

@@ -414,15 +414,24 @@ def test_estimate_rejects_malformed_trials(capsys, tmp_path, case):
                                    "--stat", "chsh"])
 
 
-@pytest.mark.parametrize("case", ["short-row", "missing-column", "non-integer"])
+SCRIPT_CSV = {  # case -> (file, words the error names)
+    "short-row": ("i,j,x,y\n1,1,0\n", "reading script"),
+    "missing-column": ("i,j,x\n1,1,0\n", "reading script"),
+    "non-integer": ("i,j,x,y\n1,1,0,z\n", "reading script"),
+    # each row is checked when the script is built, not when it is played
+    "program-id": ("i,j,x,y\n1,1,0,0\n5,1,0,0\n", "program id"),
+    "input": ("i,j,x,y\n1,1,0,0\n1,1,2,0\n", "input must be a bit"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCRIPT_CSV))
 def test_bellgame_rejects_malformed_script(capsys, tmp_path, case):
     bad = tmp_path / "script.csv"
-    bad.write_text({"short-row": "i,j,x,y\n1,1,0\n",
-                    "missing-column": "i,j,x\n1,1,0\n",
-                    "non-integer": "i,j,x,y\n1,1,0,z\n"}[case])
+    text, needle = SCRIPT_CSV[case]
+    bad.write_text(text)
     assert_one_line_error(capsys, ["bellgame", "--strategy", "scripted",
-                                   "--script", str(bad), "--rounds", "4"],
-                          "reading script")
+                                   "--script", str(bad), "--rounds", "1"],
+                          needle)
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,10 +5,7 @@ from hypothesis import given, strategies as st
 from bell_lab.core import (NO_COUNT, OUTCOMES, Events, PairedTrial,
                            RngStream, StationEvent, Trials, check_outcome,
                            check_outcomes, read_events, read_trials,
-                           tabulate, wrap_angle, write_events,
-                           write_trials)
-
-TWO_PI = 2 * np.pi
+                           tabulate, write_events, write_trials)
 
 
 def trials_of(*rows):
@@ -70,14 +67,6 @@ def test_paired_trial_coincident_flag():
     assert PairedTrial(0, 0, 1, -1).coincident
     assert not PairedTrial(0, 0, 0, -1).coincident
     assert not PairedTrial(0, 0, 1, 0).coincident
-
-
-@given(st.floats(min_value=-50, max_value=50, allow_nan=False))
-def test_wrap_angle_range(theta):
-    w = wrap_angle(theta)
-    assert 0.0 <= w < TWO_PI
-    # same point on the circle
-    assert abs(np.cos(w) - np.cos(theta)) < 1e-9
 
 
 def test_rng_stream_reproducible():

@@ -55,13 +55,13 @@ GOLDEN = {
     "game-scripted/summary.json":
         "997396766d54c699ba2ccfc910e392e173dc1e04f68a037f2d3940157c5a85e4",
     "game-quantum/rounds.csv":
-        "7504e207a43a241f51a2a98d215b41304f6bb21814b027ac7a37b6bc3efff33a",
+        "e138ab6b675f26a8629f3a861fe7d5272092fffc08a91ab29eae3eb7c0a054af",
     "game-quantum/summary.json":
-        "ece2b90d8f631b0c9eb1b48ef7aa47ca6fd1a523a75dd8992c5a763c2c4ffdf1",
+        "b3e23d776b8bc5f04d8ff881ad95152c9a115f6a60aaa482dfddee634b1d7684",
     "game-random/rounds.csv":
-        "c5e64bdd550b9abc6a072c798d0235fe9445e08aa745c00b0bf615f7210fcf87",
+        "9fe53fa97a8eb085ce3ba5ae2db0f619eb2e0849c74e1cb6abc39eadc3843a5b",
     "game-random/summary.json":
-        "d9bda665326b1c314e9563069cdd5a44c204050e15ecb0c4a15871d29ed33ca7",
+        "00e7f666e7ea4c89302f034cb9d3ea08cdd7951cd85763c6331b58bd703b1e8f",
 }
 
 COMMANDS = {

@@ -188,14 +188,6 @@ def test_spreadsheet_validation_and_combos():
     assert sheet.row_combinations().tolist() == [2, -2]
 
 
-def test_spreadsheet_csv_round_trip(tmp_path):
-    sheet = generate_cfd_spreadsheet(50, InstructionDist.uniform(), rng(5))
-    path = tmp_path / "sheet.csv"
-    sheet.write_csv(path)
-    again = Spreadsheet4.read_csv(path)
-    assert np.array_equal(sheet.rows, again.rows)
-
-
 def test_generate_spreadsheet_point_mass_and_determinism():
     atom = (-1, 1, -1, 1)
     sheet = generate_cfd_spreadsheet(40, InstructionDist.point_mass(atom), rng(6))
@@ -240,18 +232,6 @@ def test_missing_pairs_drop_rate():
     assert abs(np.mean(~table.prepared) - 0.1) < 0.01
     # A3 copies B0 under this variant
     assert np.array_equal(table.a3, table.b0)
-
-
-def test_ball_table_iteration_and_csv(tmp_path):
-    table = generate_tennis_balls(20, strict(), rng(11))
-    pairs = list(table)
-    assert len(pairs) == 20
-    assert pairs[0].a0 == int(table.a0[0])
-    path = tmp_path / "balls.csv"
-    table.write_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "a0,a3,b0,b2,prepared"
-    assert len(lines) == 21
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,9 @@ from hypothesis import given, strategies as st
 
 from bell_lab.core import RngStream
 from bell_lab.stats import (BreakdownReport, DriftingDeviceSpec,
-                            HOMOGENEITY_METHODS, bin_statistic, breakdown_demo,
+                            bin_statistic, breakdown_demo,
                             chebyshev_confidence, default_breakdown_spec,
-                            homogeneity_battery, homogeneity_test, runs_test,
-                            sem)
+                            homogeneity_test, runs_test, sem)
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +116,6 @@ def test_runs_test_patterns():
 def test_homogeneity_api():
     with pytest.raises(ValueError):
         homogeneity_test([1, 2], "anova")
-    battery = homogeneity_battery(RngStream(3).generator().normal(size=200))
-    assert set(battery) == set(HOMOGENEITY_METHODS)
 
 
 # ---------------------------------------------------------------------------
