@@ -50,6 +50,14 @@ GOLDEN = {
         "a192d39283d885d1b978281efbf8824a7a4a1581253928a09c4166b5f1695808",
     "breakdown/summary.json":
         "55a534d5ebdbb61a05c3c188cd8bdba781eb0dd59589d7eec89e2abf0a2608a4",
+    "breakdown-spec/summary.json":
+        "a4ad76ae7061f2220ab01eb8ff069f469cbc1d66d63713863a75bcb44a186cfe",
+    "homogeneity/summary.json":
+        "7bc09844149830fd613885c6f300309bfc0018c54bac718219f5094ed6e3a79d",
+    "homogeneity-raw/summary.json":
+        "2dbcf499af45a2909a36909707582ba6176f4e268891aa41538a03111deeb391",
+    "homogeneity-setting/summary.json":
+        "e2f3c4d9b9860ee89ef8b2c1a356efc3ac34f804ac54622b5ba99af6e776a5fb",
     "game-scripted/rounds.csv":
         "1399b04dc85d7de8ac740a23d0c16837a4c7c202372c49168df0d6ffed4df29e",
     "game-scripted/summary.json":
@@ -86,12 +94,26 @@ COMMANDS = {
                 "--runs", "12", "--seed", "6"],
     "breakdown": ["breakdown", "--runs", "100", "--run-len", "500",
                   "--seed", "8"],
+    "breakdown-spec": ["breakdown", "--spec", "drift.cfg", "--runs", "4",
+                       "--run-len", "200", "--seed", "8"],
+    "homogeneity": ["homogeneity", "--input", "a.csv", "--method", "all"],
+    "homogeneity-raw": ["homogeneity", "--input", "a.csv", "--bins", "0",
+                        "--parts", "3"],
+    "homogeneity-setting": ["homogeneity", "--input", "a.csv",
+                            "--per-setting"],
     "game-scripted": ["bellgame", "--strategy", "scripted", "--rounds", "8"],
     "game-quantum": ["bellgame", "--strategy", "quantum", "--rounds", "200",
                      "--seed", "9"],
     "game-random": ["bellgame", "--strategy", "random", "--rounds", "200",
                     "--seed", "9"],
 }
+
+
+# the middle symbol never occurs, so its all-zero count column is dropped
+# before the chi-square
+DRIFT_SPEC = """values = 0,1,2
+regimes = 0:2:0.5,0,0.5;2:4:0.2,0,0.8
+"""
 
 
 def write_event_pair(emissions: int = 400, seed: int = 3) -> None:
@@ -120,6 +142,8 @@ def hashes(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(tmp_path_factory.mktemp("golden"))
         write_event_pair()
+        with open("drift.cfg", "w") as fh:
+            fh.write(DRIFT_SPEC)
         for label, argv in COMMANDS.items():
             assert main(argv + ["--out", label]) == 0, label
         return {name: hashlib.sha256(open(name, "rb").read()).hexdigest()
