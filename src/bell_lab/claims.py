@@ -158,13 +158,13 @@ def _contextual(n, stream):
 
 
 def _chebyshev(n, stream):
-    return (stats.chebyshev_confidence(2.0, 1.0, 0.0).confidence,
-            stats.chebyshev_confidence(2.0, 2.0 / 44.72135955, 0.0).confidence)
+    return (stats.chebyshev_confidence(2.0, 1.0).confidence,
+            stats.chebyshev_confidence(2.0, 2.0 / 44.72135955).confidence)
 
 
 def _breakdown(n, stream):
     report = stats.breakdown_demo(run_len=n, stream=stream)
-    return (report.n_rejecting(100.0), abs(report.pooled.z),
+    return (report.n_rejecting(), abs(report.pooled.z),
             report.homogeneity["chi_square"].p_value)
 
 

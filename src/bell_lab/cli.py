@@ -354,14 +354,10 @@ def cmd_bellgame(args) -> int:
 
 def _homogeneity_for(values, args) -> dict:
     """chi_square reads the raw stream; ks/runs read bin means when binned."""
-    import numpy as np
     from . import stats
-    binned = values
-    if args.bins:
-        if len(values) < args.bins:
-            raise ValueError(f"only {len(values)} values for --bins {args.bins}")
-        binned = stats.bin_statistic(values, args.bins,
-                                     lambda c: float(np.mean(c))).defined()
+    if args.bins and len(values) < args.bins:
+        raise ValueError(f"only {len(values)} values for --bins {args.bins}")
+    binned = stats.bin_means(values, args.bins) if args.bins else values
     out = {}
     methods = stats.HOMOGENEITY_METHODS if args.method == "all" else (args.method,)
     for m in methods:

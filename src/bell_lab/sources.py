@@ -70,14 +70,13 @@ JITTER_WEIGHTS = ("uniform", "truncated_gaussian")
 class AngleJitter:
     """Random analyzer orientation: nominal center, half-width, weight shape.
 
-    half_width = 0 degenerates to a fixed analyzer.  For the truncated
-    gaussian shape, sigma defaults to half the half-width.
+    half_width = 0 degenerates to a fixed analyzer.  The truncated
+    gaussian shape has sigma = half_width / 2.
     """
 
     center: float
     half_width: float = 0.0
     weight: str = "uniform"
-    sigma: float | None = None
 
     def __post_init__(self):
         if not 0 <= self.half_width < math.inf:
@@ -91,11 +90,10 @@ class AngleJitter:
             return np.full(n, self.center)
         if self.weight == "uniform":
             return self.center + self.half_width * (2.0 * rng.random(n) - 1.0)
-        sigma = self.sigma if self.sigma is not None else self.half_width / 2.0
         out = np.empty(n)
         todo = np.arange(n)
         while todo.size:  # rejection sample the truncation
-            cand = rng.normal(0.0, sigma, todo.size)
+            cand = rng.normal(0.0, self.half_width / 2.0, todo.size)
             ok = np.abs(cand) <= self.half_width
             out[todo[ok]] = self.center + cand[ok]
             todo = todo[~ok]
@@ -292,9 +290,6 @@ def generate_tennis_balls(n_pairs: int, variant: BallVariant,
 # ---------------------------------------------------------------------------
 # contextual detection-threshold model
 
-RESPONSES = ("threshold_detection", "constant_plus")
-
-
 @dataclass(frozen=True)
 class ContextualParams:
     """Hidden-variable model with instrument noise and a detection threshold.
@@ -313,15 +308,12 @@ class ContextualParams:
     tau0: float = 1.0
     angles_a: tuple = (0.0, math.pi / 4)
     angles_b: tuple = (-3 * math.pi / 8, 3 * math.pi / 8)
-    response: str = "threshold_detection"
 
     def __post_init__(self):
         if not 0 < self.gamma < math.inf:
             raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
         if not 0 <= self.tau0 < math.inf:
             raise ValueError(f"tau0 must be finite and >= 0, got {self.tau0}")
-        if self.response not in RESPONSES:
-            raise ValueError(f"response must be one of {RESPONSES}")
         object.__setattr__(self, "angles_a", tuple(float(t) for t in self.angles_a))
         object.__setattr__(self, "angles_b", tuple(float(t) for t in self.angles_b))
 
@@ -339,9 +331,6 @@ def contextual_batch(x: int, y: int, n: int, params: ContextualParams,
         raise ValueError(f"setting labels ({x}, {y}) have no analyzer angle")
     theta_x = params.angles_a[x]
     theta_y = params.angles_b[y]
-    if params.response == "constant_plus":
-        one = np.ones(n, dtype=np.int8)
-        return one, one.copy()
     phi = rng.random(n) * 2.0
     phi *= np.pi
     out = []

@@ -3,8 +3,8 @@
 The point of this module is the distinction it enforces: a standard
 error only measures distance from a hypothesis IF the data behave like
 independent draws from one fixed law.  The tools come in matched pairs:
-sem/chebyshev_confidence quantify significance under that assumption,
-and the homogeneity tests check whether the assumption deserves any
+per-run SEMs and chebyshev_confidence quantify significance under that
+assumption, and the homogeneity tests check whether it deserves any
 trust.  breakdown_demo wires both onto a device that drifts mid-series,
 where per-run certainty and pooled complacency coexist.
 """
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -21,25 +20,8 @@ from .core import RngStream
 
 
 @dataclass(frozen=True)
-class SemResult:
-    mean: float
-    sem: float
-    n: int
-
-
-def sem(values) -> SemResult:
-    """Sample mean and its standard error (sample sd over sqrt(n))."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size < 2:
-        raise ValueError("need at least 2 values for a standard error")
-    return SemResult(float(arr.mean()),
-                     float(arr.std(ddof=1) / math.sqrt(arr.size)),
-                     int(arr.size))
-
-
-@dataclass(frozen=True)
 class ChebyshevResult:
-    """Distribution-free confidence that the mean differs from a bound.
+    """Distribution-free confidence that the mean differs from zero.
 
     k is the distance in standard errors; confidence = 1 - 1/k^2 floored
     at zero.  certain flags the degenerate sem = 0 case, where the data
@@ -51,11 +33,10 @@ class ChebyshevResult:
     certain: bool
 
 
-def chebyshev_confidence(mean: float, sem_value: float,
-                         null_bound: float = 0.0) -> ChebyshevResult:
+def chebyshev_confidence(mean: float, sem_value: float) -> ChebyshevResult:
     if sem_value < 0:
         raise ValueError("sem must be >= 0")
-    dist = abs(mean - null_bound)
+    dist = abs(mean)
     if sem_value == 0.0:
         if dist == 0.0:
             return ChebyshevResult(0.0, 0.0, False)
@@ -70,35 +51,15 @@ def chebyshev_confidence(mean: float, sem_value: float,
 # ---------------------------------------------------------------------------
 # binning
 
-@dataclass(frozen=True)
-class BinnedStatistic:
-    """Per-bin reducer values; None marks bins where the reducer had no answer."""
-
-    values: tuple
-    bin_size: int
-    n_dropped: int
-    undefined_bins: tuple
-
-    def defined(self) -> np.ndarray:
-        return np.array([v for v in self.values if v is not None], dtype=float)
-
-
-def bin_statistic(data: Sequence, n_bins: int,
-                  reducer: Callable) -> BinnedStatistic:
-    """Cut data into n_bins contiguous equal bins and reduce each.
-
-    The bin size is len(data) // n_bins; the remainder at the tail is
-    dropped and reported, never silently mixed in.
-    """
+def bin_means(values, n_bins: int) -> np.ndarray:
+    """Means of n_bins contiguous equal bins; drops the len % n_bins tail."""
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
-    size = len(data) // n_bins
+    arr = np.asarray(values, dtype=float)
+    size = arr.size // n_bins
     if size == 0:
         raise ValueError("fewer data points than bins")
-    raw = [reducer(data[k * size:(k + 1) * size]) for k in range(n_bins)]
-    return BinnedStatistic(tuple(None if v is None else float(v) for v in raw),
-                           size, len(data) - n_bins * size,
-                           tuple(k for k, v in enumerate(raw) if v is None))
+    return arr[:n_bins * size].reshape(n_bins, size).mean(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +75,20 @@ class HomogeneityResult:
     p_value: float
     details: dict
 
-    @property
-    def rejects(self) -> bool:
-        """Convenience flag at the conventional 0.05 level."""
-        return self.p_value < 0.05
+
+def table_homogeneity(table, **details) -> HomogeneityResult:
+    """Contingency chi-square: do all rows of a count table share one law?
+
+    Rows are parts of a series and columns are categories.  A category
+    that no part shows carries no information and is dropped.  details
+    are reported after the degrees of freedom.
+    """
+    table = np.asarray(table)
+    table = table[:, table.sum(axis=0) > 0]
+    from scipy import stats as sps  # about a second to import: load on use
+    stat, p_value, dof, _ = sps.chi2_contingency(table)
+    return HomogeneityResult("chi_square", float(stat), float(p_value),
+                             {"dof": int(dof), **details})
 
 
 def _chi_square_parts(values: np.ndarray, n_parts: int) -> HomogeneityResult:
@@ -131,13 +102,9 @@ def _chi_square_parts(values: np.ndarray, n_parts: int) -> HomogeneityResult:
     if cats.size < 2:
         return HomogeneityResult("chi_square", 0.0, 1.0,
                                  {"note": "single category", "parts": n_parts})
-    table = np.array([np.bincount(part, minlength=cats.size)
-                      for part in coded.reshape(n_parts, size)])
-    from scipy import stats as sps  # about a second to import: load on use
-    stat, p_value, dof, _ = sps.chi2_contingency(table)
-    return HomogeneityResult("chi_square", float(stat), float(p_value),
-                             {"dof": int(dof), "parts": n_parts,
-                              "categories": cats.tolist()})
+    table = [np.bincount(part, minlength=cats.size)
+             for part in coded.reshape(n_parts, size)]
+    return table_homogeneity(table, parts=n_parts, categories=cats.tolist())
 
 
 def _ks_halves(values: np.ndarray) -> HomogeneityResult:
@@ -268,12 +235,15 @@ class RunStat:
     z: float | None
 
 
+REJECT_SEM = 100.0  # the n_rejecting_100_sem key of to_dict names it
+
+
 @dataclass(frozen=True)
 class BreakdownReport:
     """Per-run and pooled significance plus homogeneity of the whole series.
 
     The tested margin is x = 1 - value; the null says its mean is >= 0.
-    A run rejects when z drops below a negative threshold.
+    A run rejects when z drops below -REJECT_SEM.
     """
 
     per_run: tuple
@@ -281,19 +251,19 @@ class BreakdownReport:
     homogeneity: dict
     symbol_counts: tuple
 
-    def n_rejecting(self, threshold: float = 100.0) -> int:
+    def n_rejecting(self) -> int:
         return sum(1 for r in self.per_run
-                   if r.z is not None and r.z < -threshold)
+                   if r.z is not None and r.z < -REJECT_SEM)
 
     def to_dict(self) -> dict:
         return {
             "runs": len(self.per_run),
-            "run_length": self.per_run[0].n if self.per_run else 0,
+            "run_length": self.per_run[0].n,
             "per_run": [{"run": r.run, "mean": r.mean, "sem": r.sem, "z": r.z}
                         for r in self.per_run],
             "pooled": {"n": self.pooled.n, "mean": self.pooled.mean,
                        "sem": self.pooled.sem, "z": self.pooled.z},
-            "n_rejecting_100_sem": self.n_rejecting(100.0),
+            "n_rejecting_100_sem": self.n_rejecting(),
             "homogeneity": {name: {"statistic": h.statistic,
                                    "p_value": h.p_value}
                             for name, h in self.homogeneity.items()},
@@ -322,26 +292,23 @@ def breakdown_demo(spec: DriftingDeviceSpec | None = None, runs: int = 100,
     """
     if run_len < 2:
         raise ValueError("run_len must be >= 2 for a standard error")
+    if runs < 2:
+        raise ValueError("runs must be >= 2 to compare two halves")
     spec = spec if spec is not None else default_breakdown_spec()
     stream = stream if stream is not None else RngStream(0)
     spec.check_covers(runs)
     margins = 1.0 - np.asarray(spec.values)
-    counts = [stream.child(i).generator().multinomial(run_len, spec.probs_for(i))
-              for i in range(runs)]
+    counts = np.array([stream.child(i).generator().multinomial(
+        run_len, spec.probs_for(i)) for i in range(runs)])
     per_run = [_run_stat(i, c, margins) for i, c in enumerate(counts)]
-    pooled_counts = np.sum(counts, axis=0)
+    pooled_counts = counts.sum(axis=0)
     pooled = _run_stat(-1, pooled_counts, margins)
 
     half = runs // 2
-    half_counts = np.array([np.sum(counts[:half], axis=0),
-                            np.sum(counts[half:], axis=0)])
-    keep = half_counts.sum(axis=0) > 0
-    from scipy import stats as sps
-    chi_stat, chi_p, dof, _ = sps.chi2_contingency(half_counts[:, keep])
     run_means = np.array([r.mean for r in per_run])
     homogeneity = {
-        "chi_square": HomogeneityResult("chi_square", float(chi_stat),
-                                        float(chi_p), {"dof": int(dof)}),
+        "chi_square": table_homogeneity([counts[:half].sum(axis=0),
+                                         counts[half:].sum(axis=0)]),
         "ks": _ks_halves(run_means),
         "runs": runs_test(run_means),
     }

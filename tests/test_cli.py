@@ -461,6 +461,14 @@ def test_pair_rejects_non_finite_window(capsys, tmp_path, width):
                                    "--pairing", f"window:{width}"], "width")
 
 
+def test_breakdown_needs_two_runs(capsys, tmp_path):
+    # the chi-square compares the two halves of the runs
+    spec = tmp_path / "one.cfg"
+    spec.write_text("values = 0,1\nregimes = 0:1:0.5,0.5\n")
+    assert_one_line_error(capsys, ["breakdown", "--spec", str(spec),
+                                   "--runs", "1", "--run-len", "100"], "runs")
+
+
 @pytest.mark.parametrize("command", ["qrc-gill", "qrc-vongher", "breakdown",
                                      "reproduce"])
 def test_threads_is_no_flag(capsys, command):

@@ -250,8 +250,6 @@ def test_contextual_validation():
         ContextualParams(gamma=0.0)
     with pytest.raises(ValueError):
         ContextualParams(tau0=-0.1)
-    with pytest.raises(ValueError):
-        ContextualParams(response="linear")
 
 
 def test_contextual_outcomes_are_ternary():
@@ -287,8 +285,3 @@ def test_contextual_aligned_analyzers_anticorrelate_exactly():
     assert both.any()
     assert np.all(a[both] * b[both] == -1)
 
-
-def test_contextual_constant_response():
-    p = ContextualParams(response="constant_plus")
-    a, b = contextual_batch(0, 1, 100, p, rng(17))
-    assert np.all(a == 1) and np.all(b == 1)

@@ -3,28 +3,20 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import stats as sps
 
 from bell_lab.core import RngStream
-from bell_lab.stats import (BreakdownReport, DriftingDeviceSpec,
-                            bin_statistic, breakdown_demo,
-                            chebyshev_confidence, default_breakdown_spec,
-                            homogeneity_test, runs_test, sem)
+from bell_lab.stats import (BreakdownReport, DriftingDeviceSpec, bin_means,
+                            breakdown_demo, chebyshev_confidence,
+                            default_breakdown_spec, homogeneity_test,
+                            runs_test, table_homogeneity)
 
 
 # ---------------------------------------------------------------------------
-# sem and chebyshev
-
-def test_sem_small_case():
-    r = sem([1.0, 2.0, 3.0, 4.0])
-    assert r.mean == 2.5
-    assert r.sem == pytest.approx(np.std([1, 2, 3, 4], ddof=1) / 2.0)
-    assert r.n == 4
-    with pytest.raises(ValueError):
-        sem([1.0])
-
+# chebyshev
 
 def test_chebyshev_exact_values():
-    r = chebyshev_confidence(2.0, 1.0, null_bound=0.0)
+    r = chebyshev_confidence(2.0, 1.0)
     assert (r.k, r.confidence, r.certain) == (2.0, 0.75, False)
     assert chebyshev_confidence(1.0, 1.0).confidence == 0.0
     # k = sqrt(2000) ~ 44.7 leaves 1/2000 of the mass outside
@@ -51,24 +43,21 @@ def test_chebyshev_monotone_in_distance(d1, d2):
 # ---------------------------------------------------------------------------
 # binning
 
-def test_bin_statistic_contiguous_and_remainder():
-    r = bin_statistic(list(range(10)), 3, lambda xs: sum(xs) / len(xs))
-    assert r.values == (1.0, 4.0, 7.0)
-    assert r.bin_size == 3
-    assert r.n_dropped == 1
-    assert r.undefined_bins == ()
+def test_bin_means_contiguous_tail_dropped():
+    assert bin_means(range(10), 3).tolist() == [1.0, 4.0, 7.0]
+    with pytest.raises(ValueError, match="fewer data points than bins"):
+        bin_means([1.0], 2)
+    with pytest.raises(ValueError, match="n_bins must be >= 1"):
+        bin_means([1.0], 0)
 
 
-def test_bin_statistic_undefined_bins():
-    r = bin_statistic([1, 1, 2, 2], 2,
-                      lambda xs: None if xs[0] == 2 else float(xs[0]))
-    assert r.values == (1.0, None)
-    assert r.undefined_bins == (1,)
-    assert r.defined().tolist() == [1.0]
-    with pytest.raises(ValueError):
-        bin_statistic([1], 2, sum)
-    with pytest.raises(ValueError):
-        bin_statistic([1], 0, sum)
+@given(st.integers(1, 3000), st.integers(1, 60), st.integers(0, 2**32 - 1))
+def test_bin_means_equal_per_slice_means(n, n_bins, seed):
+    n_bins = min(n_bins, n)
+    values = np.random.default_rng(seed).normal(size=n) * 10.0 ** (seed % 9)
+    size = n // n_bins
+    slices = [np.mean(values[k * size:(k + 1) * size]) for k in range(n_bins)]
+    assert np.array_equal(bin_means(values, n_bins), slices)
 
 
 # ---------------------------------------------------------------------------
@@ -79,13 +68,19 @@ def test_chi_square_flags_a_switched_law():
     r = homogeneity_test(values, "chi_square", n_parts=2)
     assert r.method == "chi_square"
     assert r.p_value < 1e-12
-    assert r.rejects
 
 
 def test_chi_square_passes_a_steady_law():
     values = np.tile([0, 1], 300)  # identical counts in both halves
     r = homogeneity_test(values, "chi_square")
     assert r.p_value > 0.9
+
+
+def test_table_homogeneity_drops_a_zero_column():
+    r = table_homogeneity([[10, 0, 20], [15, 0, 12]], parts=2)
+    stat, p_value, dof, _ = sps.chi2_contingency([[10, 20], [15, 12]])
+    assert r.details == {"dof": 1, "parts": 2}
+    assert (r.statistic, r.p_value) == (stat, p_value)
 
 
 def test_chi_square_single_category_is_uninformative():
@@ -156,7 +151,7 @@ def test_breakdown_demo_contradiction_pattern():
     assert len(report.per_run) == 10
     # every run screams, the pool stays quiet, homogeneity explains why;
     # rejection is one-sided, so only the heavy-top regime rejects
-    assert report.n_rejecting(100.0) == 5
+    assert report.n_rejecting() == 5
     assert all(abs(r.z) > 100 for r in report.per_run)
     assert abs(report.pooled.z) < 4.0
     assert report.homogeneity["chi_square"].p_value < 1e-6
@@ -170,6 +165,29 @@ def test_breakdown_demo_contradiction_pattern():
 def test_breakdown_demo_validates_coverage():
     with pytest.raises(ValueError):
         breakdown_demo(runs=20, run_len=100, stream=RngStream(5))
+    one_run = DriftingDeviceSpec((0.0, 1.0), ((0, 1, (0.5, 0.5)),))
+    with pytest.raises(ValueError, match="runs must be >= 2"):
+        breakdown_demo(one_run, runs=1, run_len=100, stream=RngStream(5))
+
+
+def test_breakdown_sem_is_the_sample_sem():
+    # each run's SEM comes from its count table; it must equal the plain
+    # sample SEM of the values those counts stand for
+    spec = DriftingDeviceSpec((0.0, 0.5, 2.0), ((0, 2, (0.2, 0.3, 0.5)),
+                                                (2, 4, (0.6, 0.3, 0.1))))
+    stream = RngStream(3)
+    report = breakdown_demo(spec, runs=4, run_len=50, stream=stream)
+    margins = 1.0 - np.asarray(spec.values)
+    counts = [stream.child(i).generator().multinomial(50, spec.probs_for(i))
+              for i in range(4)]
+    assert np.sum(counts, axis=0).tolist() == list(report.symbol_counts)
+    for stat, c in zip(report.per_run + (report.pooled,),
+                       counts + [report.symbol_counts]):
+        x = np.repeat(margins, c)
+        assert stat.n == x.size
+        assert stat.mean == pytest.approx(np.mean(x), rel=1e-12)
+        assert stat.sem == pytest.approx(
+            np.std(x, ddof=1) / math.sqrt(x.size), rel=1e-12)
 
 
 def test_runs_test_too_short_to_vary():
