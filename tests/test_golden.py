@@ -70,6 +70,10 @@ GOLDEN = {
         "9fe53fa97a8eb085ce3ba5ae2db0f619eb2e0849c74e1cb6abc39eadc3843a5b",
     "game-random/summary.json":
         "00e7f666e7ea4c89302f034cb9d3ea08cdd7951cd85763c6331b58bd703b1e8f",
+    "reproduce-vongher/summary.json":
+        "7b28834c904ed4daa527391ee8158288073d5eba7e08b182f2c026d26f22ff8f",
+    "reproduce-gill/summary.json":
+        "d79e231984595d75c4e3d0c7a6a4c535638f55342709980a2c04923dacfcd6b2",
 }
 
 COMMANDS = {
@@ -106,6 +110,8 @@ COMMANDS = {
                      "--seed", "9"],
     "game-random": ["bellgame", "--strategy", "random", "--rounds", "200",
                     "--seed", "9"],
+    "reproduce-vongher": ["reproduce", "--target", "vongher-quantum"],
+    "reproduce-gill": ["reproduce", "--target", "gill-boundary"],
 }
 
 
