@@ -263,14 +263,9 @@ def cmd_qrc_gill(args) -> int:
     from . import core, randi
     dist = _gill_dist(args)
     report = randi.gill_campaign(dist, args.rows, args.runs, _stream_of(args))
-    results = report.to_dict()
-    per_run = results.pop("per_run")
-    rows = [(r["run"], r["s_value"], int(r["violated"]), *r["sizes"])
-            for r in per_run]
-    _emit(args, {"runs": args.runs, "rows": args.rows}, results,
+    _emit(args, {"runs": args.runs, "rows": args.rows}, report.to_dict(),
           extra_files=(("per_run.csv", lambda p: core.write_rows(
-              p, ("run", "s_value", "violated",
-                  "n_ab", "n_abp", "n_apb", "n_apbp"), rows)),))
+              p, report.fields, report.rows)),))
     return 0
 
 
@@ -289,17 +284,9 @@ def cmd_qrc_vongher(args) -> int:
     from . import core, randi
     report = randi.vongher_campaign(_vongher_source(args), args.runs,
                                     args.pairs, _stream_of(args))
-    results = report.to_dict()
-    per_run = results.pop("per_run")
-    rows = [(r["run"], r["bell_lhs"], r["bell_rhs"], int(r["bell_violated"]),
-             r["s_value"], int(r["chsh_violated"]), *r["n_e"], *r["n_u"])
-            for r in per_run]
-    header = ("run", "bell_lhs", "bell_rhs", "bell_violated", "s_value",
-              "chsh_violated", "n_e0", "n_e1", "n_e2", "n_e3",
-              "n_u0", "n_u1", "n_u2", "n_u3")
-    _emit(args, {"runs": args.runs, "pairs": args.pairs}, results,
-          extra_files=(("per_run.csv",
-                        lambda p: core.write_rows(p, header, rows)),))
+    _emit(args, {"runs": args.runs, "pairs": args.pairs}, report.to_dict(),
+          extra_files=(("per_run.csv", lambda p: core.write_rows(
+              p, report.fields, report.rows)),))
     return 0
 
 
@@ -318,7 +305,7 @@ def _game_strategy(args):
         return bellgame.QuantumStrategy()
     script = bellgame.PERFECT_SCRIPT
     if args.script is not None:
-        columns = _read(lambda p: core._read_columns(p, ("i", "j", "x", "y")),
+        columns = _read(lambda p: core.read_columns(p, ("i", "j", "x", "y")),
                         args.script, "script")
         script = tuple(zip(*(c.tolist() for c in columns)))
     return bellgame.ScriptedStrategy(script)
@@ -380,7 +367,7 @@ def cmd_homogeneity(args) -> int:
     if args.per_setting:
         results = {}
         for lab in np.unique(events.setting).tolist():
-            sub = events.outcome[events.setting == lab].astype(float)
+            sub = column[events.setting == lab].astype(float)
             results[str(lab)] = _homogeneity_for(sub, args)
     else:
         results = _homogeneity_for(values, args)

@@ -217,7 +217,7 @@ def _write_columns(path, header, store: _ColumnStore) -> None:
     write_rows(path, header, zip(*(c.tolist() for c in store._columns())))
 
 
-def _read_columns(path, header) -> list:
+def read_columns(path, header) -> list:
     """One int64 array per column named in header; blank lines are skipped."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -239,7 +239,7 @@ def write_events(path, events: Events) -> None:
 
 
 def read_events(path) -> Events:
-    return Events(*_read_columns(path, EVENT_FIELDS))
+    return Events(*read_columns(path, EVENT_FIELDS))
 
 
 def write_trials(path, trials: Trials) -> None:
@@ -247,4 +247,4 @@ def write_trials(path, trials: Trials) -> None:
 
 
 def read_trials(path) -> Trials:
-    return Trials(*_read_columns(path, TRIAL_FIELDS))
+    return Trials(*read_columns(path, TRIAL_FIELDS))

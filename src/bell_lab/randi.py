@@ -26,8 +26,7 @@ import numpy as np
 
 from .core import (NO_COUNT, OUTCOMES, RngStream, Trials, table_cells,
                    tabulate)
-from .estimators import (BellCounterResult, ChshEstimate, CounterChsh,
-                         CounterSet, bell_counter_test, chsh,
+from .estimators import (ChshEstimate, bell_counter_test, chsh,
                          chsh_from_counters, vongher_counters)
 from .sources import (ATOMS, SETTINGS_A, SETTINGS_B, BallTable, BallVariant,
                       InstructionDist, Spreadsheet4, generate_tennis_balls,
@@ -73,20 +72,31 @@ def gill_table(dist: InstructionDist, n_rows: int,
     return dict(zip(GILL_CELLS, counts.astype(np.int64).tolist()))
 
 
+# the per_run.csv header of each campaign; a report's rows follow it
+GILL_FIELDS = ("run", "s_value", "violated", "n_ab", "n_abp", "n_apb", "n_apbp")
+VONGHER_FIELDS = ("run", "bell_lhs", "bell_rhs", "bell_violated", "s_value",
+                  "chsh_violated", "n_e0", "n_e1", "n_e2", "n_e3",
+                  "n_u0", "n_u1", "n_u2", "n_u3")
+
+
 @dataclass(frozen=True)
 class CampaignReport:
-    """Aggregate of many independent runs.
+    """One row per run under fields, plus the violation counts over runs.
 
     Violation rates are exact counts over runs.  qrc_bound is set by the
     coin-subsample campaign: the challenge is won when the violation
     rate clears 0.5 by three binomial standard errors.
     """
 
-    runs: int
+    fields: tuple
+    rows: tuple
     chsh_violations: int
-    per_run: tuple
     bell_violations: int | None = None
     qrc_bound: float | None = None
+
+    @property
+    def runs(self) -> int:
+        return len(self.rows)
 
     @property
     def chsh_violation_rate(self) -> float:
@@ -113,7 +123,6 @@ class CampaignReport:
             "bell_violation_rate": self.bell_violation_rate,
             "qrc_bound": self.qrc_bound,
             "qrc_won": self.qrc_won,
-            "per_run": list(self.per_run),
         }
 
 
@@ -122,22 +131,22 @@ def qrc_win_bound(runs: int) -> float:
     return 0.5 + 3.0 * math.sqrt(0.25 / runs)
 
 
+def _chsh_violated(s_value: float | None) -> int:
+    return int(s_value is not None and s_value > CHSH_BOUND)
+
+
 def gill_campaign(dist: InstructionDist, n_rows: int, runs: int,
                   stream: RngStream) -> CampaignReport:
     """Run i scores the CHSH of gill_table(dist, n_rows) on stream.child(i)."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
-
-    def one(i: int) -> dict:
+    rows = []
+    for i in range(runs):
         est = chsh(gill_table(dist, n_rows, stream.child(i).generator()))
-        s = est.s_value
-        return {"run": i, "s_value": s, "sizes": list(est.sizes),
-                "violated": s is not None and s > CHSH_BOUND}
-
-    per_run = [one(i) for i in range(runs)]
-    viol = sum(1 for r in per_run if r["violated"])
-    return CampaignReport(runs=runs, chsh_violations=viol,
-                          per_run=tuple(per_run), qrc_bound=qrc_win_bound(runs))
+        rows.append((i, est.s_value, _chsh_violated(est.s_value), *est.sizes))
+    # column 2 is violated
+    return CampaignReport(GILL_FIELDS, tuple(rows), sum(r[2] for r in rows),
+                          qrc_bound=qrc_win_bound(runs))
 
 
 # ---------------------------------------------------------------------------
@@ -166,23 +175,6 @@ def measure_balls(table: BallTable, setting_a, setting_b):
     a = np.where(table.prepared, 2 * bit_a - 1, NO_COUNT).astype(np.int8)
     b = np.where(table.prepared, 2 * bit_b - 1, NO_COUNT).astype(np.int8)
     return a, b
-
-
-@dataclass(frozen=True)
-class VongherRun:
-    """One run's counters plus both verdicts."""
-
-    counters: CounterSet
-    bell: BellCounterResult
-    chsh: CounterChsh
-
-    @property
-    def bell_violated(self) -> bool:
-        return self.bell.violated
-
-    @property
-    def chsh_violated(self) -> bool:
-        return self.chsh.s_value is not None and self.chsh.s_value > CHSH_BOUND
 
 
 def vongher_trials(source, n_pairs: int, rng: np.random.Generator) -> Trials:
@@ -243,33 +235,21 @@ def vongher_table(source, n_pairs: int, rng: np.random.Generator) -> dict:
     return dict(zip(VONGHER_CELLS, counts.tolist()))
 
 
-def vongher_run(source, n_pairs: int, rng: np.random.Generator) -> VongherRun:
-    """Play one run of the ball protocol: vongher_table, then both verdicts."""
-    counters = vongher_counters(vongher_table(source, n_pairs, rng))
-    return VongherRun(counters, bell_counter_test(counters),
-                      chsh_from_counters(counters))
-
-
 def vongher_campaign(source, runs: int, n_pairs: int,
                      stream: RngStream) -> CampaignReport:
-    """Many independent ball-protocol runs; rates for both verdicts."""
+    """Run i scores the counters of vongher_table(source, n_pairs) on
+    stream.child(i) by both verdicts."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
-
-    def one(i: int) -> dict:
-        rng = stream.child(i).generator()
-        run = vongher_run(source, n_pairs, rng)
-        return {"run": i,
-                "n_e": list(run.counters.n_e),
-                "n_u": list(run.counters.n_u),
-                "bell_lhs": run.bell.lhs,
-                "bell_rhs": run.bell.rhs,
-                "bell_violated": run.bell_violated,
-                "s_value": run.chsh.s_value,
-                "chsh_violated": run.chsh_violated}
-
-    per_run = [one(i) for i in range(runs)]
-    bell = sum(1 for r in per_run if r["bell_violated"])
-    chsh_v = sum(1 for r in per_run if r["chsh_violated"])
-    return CampaignReport(runs=runs, chsh_violations=chsh_v,
-                          per_run=tuple(per_run), bell_violations=bell)
+    probs = vongher_cell_probs(source).ravel()
+    rows = []
+    for i in range(runs):
+        counts = stream.child(i).generator().multinomial(n_pairs, probs)
+        counters = vongher_counters(dict(zip(VONGHER_CELLS, counts.tolist())))
+        bell = bell_counter_test(counters)
+        s = chsh_from_counters(counters).s_value
+        rows.append((i, bell.lhs, bell.rhs, int(bell.violated), s,
+                     _chsh_violated(s), *counters.n_e, *counters.n_u))
+    # columns 5 and 3 are chsh_violated and bell_violated
+    return CampaignReport(VONGHER_FIELDS, tuple(rows), sum(r[5] for r in rows),
+                          bell_violations=sum(r[3] for r in rows))

@@ -198,8 +198,6 @@ def generate_cfd_spreadsheet(n_rows: int, dist: InstructionDist,
 # ---------------------------------------------------------------------------
 # tennis-ball instruction sets
 
-BALL_KINDS = ("strict", "missing_pairs", "partial_anticorr")
-
 # station settings used with these balls: side A chooses 0 or 3,
 # side B chooses 0 or 2, and the pair is summarized by d = |b - a|
 SETTINGS_A = (0, 3)
@@ -217,15 +215,12 @@ class BallVariant:
     station registers a count.
     """
 
-    kind: str
     q: float = 1.0
     p_a3_flip: float = 0.5
     p_b2_flip: float = 0.5
     p_drop: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in BALL_KINDS:
-            raise ValueError(f"kind must be one of {BALL_KINDS}")
         for name in ("q", "p_a3_flip", "p_b2_flip", "p_drop"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -234,7 +229,7 @@ class BallVariant:
 
 def strict() -> BallVariant:
     """Perfect anti-correlation at d = 0, fair independent answers elsewhere."""
-    return BallVariant("strict", q=1.0, p_a3_flip=0.5, p_b2_flip=0.5, p_drop=0.0)
+    return BallVariant(q=1.0, p_a3_flip=0.5, p_b2_flip=0.5, p_drop=0.0)
 
 
 def missing_pairs(p_drop: float = 0.1) -> BallVariant:
@@ -243,15 +238,14 @@ def missing_pairs(p_drop: float = 0.1) -> BallVariant:
     A3 copies B0 here, which is what parks the run statistics right on
     the spreadsheet boundary once dropped pairs are excluded.
     """
-    return BallVariant("missing_pairs", q=1.0, p_a3_flip=0.0, p_b2_flip=0.5,
-                       p_drop=p_drop)
+    return BallVariant(q=1.0, p_a3_flip=0.0, p_b2_flip=0.5, p_drop=p_drop)
 
 
 def partial_anticorr(q: float, p_a3_flip: float = 0.0075,
                      p_b2_flip: float = 1.0) -> BallVariant:
     """Imperfect d = 0 anti-correlation with strongly aligned side answers."""
-    return BallVariant("partial_anticorr", q=q, p_a3_flip=p_a3_flip,
-                       p_b2_flip=p_b2_flip, p_drop=0.0)
+    return BallVariant(q=q, p_a3_flip=p_a3_flip, p_b2_flip=p_b2_flip,
+                       p_drop=0.0)
 
 
 @dataclass(frozen=True)
@@ -273,8 +267,7 @@ def generate_tennis_balls(n_pairs: int, variant: BallVariant,
     """Draw n_pairs ball pairs under the variant's preparation law.
 
     Draw order: B0 bits, the d = 0 disagreement draws, the A3 draws, the
-    B2 draws, then the drop draws.  Identical (q, flip) parameters give
-    bit-identical tables on the same stream regardless of variant name.
+    B2 draws, then the drop draws.
     """
     if n_pairs < 0:
         raise ValueError("n_pairs must be >= 0")

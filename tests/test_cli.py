@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -14,7 +15,7 @@ from bell_lab import sources
 from bell_lab.cli import build_parser, main
 import numpy as np
 
-from bell_lab.core import Trials, write_trials
+from bell_lab.core import Events, Trials, write_events, write_trials
 
 
 def trials_of(*rows):
@@ -251,6 +252,27 @@ def test_qrc_vongher_strict_never_violates(capsys):
     assert payload["results"]["chsh_violations"] == 0
 
 
+@pytest.mark.parametrize("argv, columns", [
+    (["qrc-gill", "--generator", "positive-boundary", "--rows", "200",
+      "--runs", "20", "--seed", "1"], {"violated": "chsh_violations"}),
+    (["qrc-vongher", "--variant", "quantum", "--pairs", "300", "--runs", "12",
+      "--seed", "1"], {"chsh_violated": "chsh_violations",
+                       "bell_violated": "bell_violations"})],
+    ids=("qrc-gill", "qrc-vongher"))
+def test_per_run_violations_sum_to_summary(capsys, tmp_path, argv, columns):
+    code, payload, _ = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 0
+    r = payload["results"]
+    with open(tmp_path / "per_run.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["run"]) for row in rows] == list(range(r["runs"]))
+    sums = {key: sum(int(row[column]) for row in rows)
+            for column, key in columns.items()}
+    assert sums == {key: r[key] for key in columns.values()}
+    # some verdict splits the runs, so an all-0 or all-1 column would show
+    assert any(0 < total < r["runs"] for total in sums.values())
+
+
 def test_bellgame_scripted_is_perfect(capsys, tmp_path):
     code, payload, _ = run(capsys, "bellgame", "--strategy", "scripted",
                            "--rounds", "8", "--out", str(tmp_path))
@@ -291,6 +313,25 @@ def test_homogeneity_on_simulated_events(capsys, tmp_path):
                            "--method", "chi_square", "--parts", "3")
     assert code == 0
     assert payload["results"]["chi_square"]["details"]["parts"] == 3
+
+
+def test_homogeneity_per_setting_reads_the_chosen_column(capsys, tmp_path):
+    # within one setting the setting_label column holds one value, so each
+    # setting's chi-square sees a single category; the outcomes do not
+    rng = np.random.default_rng(4)
+    n = 400
+    events = Events(np.arange(n), rng.integers(0, 2, size=n),
+                    rng.choice([1, -1], size=n))
+    path = tmp_path / "events.csv"
+    write_events(path, events)
+    argv = ("homogeneity", "--input", str(path), "--per-setting",
+            "--method", "chi_square", "--bins", "0", "--parts", "3")
+    _, by_outcome, _ = run(capsys, *argv, "--column", "outcome")
+    _, by_setting, _ = run(capsys, *argv, "--column", "setting_label")
+    assert set(by_setting["results"]) == {"0", "1"}
+    for lab, res in by_setting["results"].items():
+        assert res["chi_square"]["details"]["note"] == "single category"
+        assert by_outcome["results"][lab]["chi_square"]["statistic"] > 0.0
 
 
 def test_homogeneity_input_errors(capsys, tmp_path):

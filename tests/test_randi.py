@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from bell_lab.core import OUTCOMES, RngStream, tabulate
-from bell_lab.estimators import chsh, vongher_counters
+from bell_lab.estimators import (bell_counter_test, chsh, chsh_from_counters,
+                                 vongher_counters)
 from bell_lab.randi import (CHSH_BOUND, CampaignReport, GILL_CELLS,
-                            VONGHER_ANGLE_UNIT, VONGHER_CELLS,
-                            draw_vongher_settings, gill_campaign, gill_subsample,
-                            gill_table, measure_balls, QUANTUM_SOURCE,
-                            qrc_win_bound, vongher_campaign, vongher_cell_probs,
-                            vongher_run, vongher_table, vongher_trials)
+                            GILL_FIELDS, VONGHER_ANGLE_UNIT, VONGHER_CELLS,
+                            VONGHER_FIELDS, draw_vongher_settings,
+                            gill_campaign, gill_subsample, gill_table,
+                            measure_balls, QUANTUM_SOURCE, qrc_win_bound,
+                            vongher_campaign, vongher_cell_probs,
+                            vongher_table, vongher_trials)
 from bell_lab.sources import (SETTINGS_A, SETTINGS_B, BallTable, BallVariant,
                               InstructionDist, generate_cfd_spreadsheet,
                               generate_tennis_balls, missing_pairs,
@@ -56,16 +58,31 @@ def test_gill_campaign_report_shape():
     rep = gill_campaign(InstructionDist.uniform(), n_rows=400, runs=40,
                         stream=RngStream(7))
     assert rep.runs == 40
-    assert len(rep.per_run) == 40
+    assert rep.fields == GILL_FIELDS
+    assert len(rep.rows) == 40
+    assert all(len(row) == len(GILL_FIELDS) for row in rep.rows)
     assert rep.qrc_bound == pytest.approx(qrc_win_bound(40))
-    assert rep.chsh_violations == sum(1 for r in rep.per_run if r["violated"])
     assert isinstance(rep.qrc_won, bool)
     d = rep.to_dict()
-    assert d["runs"] == 40 and len(d["per_run"]) == 40
+    assert d["runs"] == 40 and "per_run" not in d
+
+
+def test_gill_campaign_rows_score_their_tables():
+    # row i is the CHSH of gill_table on stream.child(i): this pins the
+    # draw order of the campaign
+    dist = InstructionDist.uniform()
+    stream = RngStream(8)
+    rep = gill_campaign(dist, n_rows=300, runs=6, stream=stream)
+    for i, row in enumerate(rep.rows):
+        est = chsh(gill_table(dist, 300, stream.child(i).generator()))
+        violated = est.s_value is not None and est.s_value > CHSH_BOUND
+        assert row == (i, est.s_value, int(violated), *est.sizes)
+    assert rep.chsh_violations == sum(row[2] for row in rep.rows)
 
 
 def test_campaign_report_optional_fields():
-    rep = CampaignReport(runs=10, chsh_violations=5, per_run=())
+    rep = CampaignReport(("run",), tuple((i,) for i in range(10)),
+                         chsh_violations=5)
     assert rep.chsh_violation_rate == 0.5
     assert rep.bell_violation_rate is None
     assert rep.qrc_won is None
@@ -111,38 +128,55 @@ def test_quantum_outcomes_follow_protocol_angles():
 
 
 def test_strict_run_never_equal_at_d0():
-    run = vongher_run(strict(), 2000, rng(12))
-    assert run.counters.n_e[0] == 0
-    assert run.counters.n_u[0] > 0
-    assert sum(run.counters.totals()) == 2000
+    counters = vongher_counters(vongher_table(strict(), 2000, rng(12)))
+    assert counters.n_e[0] == 0
+    assert counters.n_u[0] > 0
+    assert sum(counters.totals()) == 2000
 
 
 def test_quantum_run_counters_near_expectations():
     # per distance the unequal fraction is cos^2(d * pi / 16), so at
     # n pairs each distance holds ~n/4 counts split accordingly
     n = 20_000
-    run = vongher_run("quantum", n, rng(13))
+    counters = vongher_counters(vongher_table(QUANTUM_SOURCE, n, rng(13)))
     per_d = n / 4
-    for d, (ne, nu) in enumerate(zip(run.counters.n_e, run.counters.n_u)):
+    for d, (ne, nu) in enumerate(zip(counters.n_e, counters.n_u)):
         p_u = math.cos(d * math.pi / 16) ** 2
         assert abs(nu - per_d * p_u) < 5 * math.sqrt(per_d)
         assert abs(ne - per_d * (1 - p_u)) < 5 * math.sqrt(per_d)
-    assert run.bell_violated
+    assert bell_counter_test(counters).violated
     # counter CHSH concentrates on 1 + cos(pi/8) + cos(pi/4) - cos(3pi/8)
     want = 1 + math.cos(math.pi / 8) + math.cos(math.pi / 4) - math.cos(3 * math.pi / 8)
-    assert run.chsh.s_value == pytest.approx(want, abs=0.1)
-    assert run.chsh_violated
+    s = chsh_from_counters(counters).s_value
+    assert s == pytest.approx(want, abs=0.1)
+    assert s > CHSH_BOUND
 
 
 def test_vongher_run_rejects_unknown_source():
     with pytest.raises(ValueError):
-        vongher_run("classical", 10, rng(14))
+        vongher_table("classical", 10, rng(14))
+    with pytest.raises(ValueError):
+        vongher_campaign("classical", 1, 10, RngStream(14))
 
 
 def test_vongher_run_scores_its_table():
-    table = vongher_table(strict(), 500, rng(15))
-    assert sum(table.values()) == 500
-    assert vongher_run(strict(), 500, rng(15)).counters == vongher_counters(table)
+    # row i holds the counters of vongher_table on stream.child(i) and
+    # both verdicts on them: this pins the draw order of the campaign
+    stream = RngStream(15)
+    for source in (QUANTUM_SOURCE, missing_pairs(0.1)):
+        rep = vongher_campaign(source, runs=8, n_pairs=500, stream=stream)
+        assert rep.fields == VONGHER_FIELDS and rep.runs == 8
+        for i, row in enumerate(rep.rows):
+            table = vongher_table(source, 500, stream.child(i).generator())
+            assert sum(table.values()) == 500
+            counters = vongher_counters(table)
+            bell = bell_counter_test(counters)
+            s = chsh_from_counters(counters).s_value
+            violated = s is not None and s > CHSH_BOUND
+            assert row == (i, bell.lhs, bell.rhs, int(bell.violated), s,
+                           int(violated), *counters.n_e, *counters.n_u)
+        assert rep.chsh_violations == sum(row[5] for row in rep.rows)
+        assert rep.bell_violations == sum(row[3] for row in rep.rows)
 
 
 def test_strict_campaign_never_violates():
@@ -174,8 +208,7 @@ def test_partial_anticorr_disagreement_rate():
 
 SLOT = {v: k for k, v in enumerate(OUTCOMES)}
 BALL_VARIANTS = (strict(), missing_pairs(0.1), partial_anticorr(0.87),
-                 BallVariant("strict", q=0.3, p_a3_flip=0.2, p_b2_flip=0.7,
-                             p_drop=0.25))
+                 BallVariant(q=0.3, p_a3_flip=0.2, p_b2_flip=0.7, p_drop=0.25))
 
 
 def ball_law(variant):

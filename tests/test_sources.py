@@ -201,15 +201,13 @@ def test_generate_spreadsheet_point_mass_and_determinism():
 # tennis balls
 
 def test_variant_constructors_and_validation():
-    assert strict() == BallVariant("strict", 1.0, 0.5, 0.5, 0.0)
+    assert strict() == BallVariant(1.0, 0.5, 0.5, 0.0)
     assert missing_pairs().p_drop == 0.1
     assert partial_anticorr(0.87).q == 0.87
     assert partial_anticorr(0.87).p_a3_flip == 0.0075
     assert partial_anticorr(0.87).p_b2_flip == 1.0
     with pytest.raises(ValueError):
-        BallVariant("strict", q=1.5)
-    with pytest.raises(ValueError):
-        BallVariant("loose")
+        BallVariant(q=1.5)
 
 
 def test_strict_balls_perfectly_anticorrelated_at_d0():
@@ -219,8 +217,10 @@ def test_strict_balls_perfectly_anticorrelated_at_d0():
 
 
 def test_same_parameters_same_bits_regardless_of_kind():
-    # the preparation law depends only on (q, flips, drop), not the name
+    # a variant is its (q, flips, drop): two constructors that agree on
+    # them give the same variant and the same bits
     twin = partial_anticorr(1.0, p_a3_flip=0.5, p_b2_flip=0.5)
+    assert twin == strict()
     t1 = generate_tennis_balls(300, strict(), rng(9))
     t2 = generate_tennis_balls(300, twin, rng(9))
     for col in ("a0", "a3", "b0", "b2", "prepared"):
