@@ -40,6 +40,8 @@ GOLDEN = {
         "2c8a2bd72a506a98c21bb9fb059a9abf9fffa4f250a8988cdd8c1557de2b2d08",
     "chsh/summary.json":
         "6ff1736d5f92ede7cd53b6c5f9756dd8e52b6ac7942637e1b2532f3c3f12f5fb",
+    "eberhard/summary.json":
+        "c1cd50bf29f023503ecede5dd8ff322108bc0ae4628d0aca203a845869b8c4fa",
     "gill/per_run.csv":
         "0ca2d31ae00491b74a148a166e8fdc8c0441d8300a4ad9b573bfb3ff9180e987",
     "gill/summary.json":
@@ -93,6 +95,8 @@ COMMANDS = {
     "window2": ["pair", "--events-a", "a.csv", "--events-b", "b.csv",
                 "--pairing", "window:2"],
     "chsh": ["estimate", "--input", "window2/trials.csv", "--stat", "chsh"],
+    "eberhard": ["estimate", "--input", "systematic/trials.csv",
+                 "--stat", "eberhard"],
     "gill": ["qrc-gill", "--rows", "400", "--runs", "12", "--seed", "5"],
     "vongher": ["qrc-vongher", "--variant", "quantum", "--pairs", "300",
                 "--runs", "12", "--seed", "6"],
