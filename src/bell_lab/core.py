@@ -1,6 +1,6 @@
-"""Shared vocabulary for the lab: ternary outcomes, station events and
-paired trials with their column stores, reproducible random streams, and
-count tables.
+"""Shared vocabulary for the lab: ternary outcomes, the column stores of
+station events and paired trials, reproducible random streams, and count
+tables.
 
 Outcomes are +1 and -1 for the two analyzer exits and 0 for "no count"
 (undetected, or an unpaired partner slot).  Everything downstream speaks
@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import itertools
 from dataclasses import dataclass, fields
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,14 +20,6 @@ PLUS = 1
 MINUS = -1
 NO_COUNT = 0
 OUTCOMES = (PLUS, MINUS, NO_COUNT)
-
-
-def check_outcome(value) -> int:
-    """Validate a single ternary outcome, returning it as a plain int."""
-    v = int(value)
-    if v not in OUTCOMES or v != value:
-        raise ValueError(f"outcome must be one of {OUTCOMES}, got {value!r}")
-    return v
 
 
 def _integers(values, what: str) -> np.ndarray:
@@ -46,30 +38,13 @@ def check_outcomes(values) -> np.ndarray:
     return arr.astype(np.int8, copy=False)
 
 
-@dataclass(frozen=True)
-class StationEvent:
-    """One local detection slot: time-window index, setting label, outcome."""
-
-    window_index: int
-    setting_label: int
-    outcome: int
-
-    def __post_init__(self):
-        check_outcome(self.outcome)
-
-
-@dataclass(frozen=True)
-class PairedTrial:
-    """A matched pair of station events, one from each side."""
-
+# perfbench's _window_counts reads .coincident, .setting_a and .setting_b off
+# Trials rows; this row type and Trials.__iter__ go with it (ROADMAP item 1)
+class PairedTrial(NamedTuple):
     setting_a: int
     setting_b: int
     a: int
     b: int
-
-    def __post_init__(self):
-        check_outcome(self.a)
-        check_outcome(self.b)
 
     @property
     def coincident(self) -> bool:
@@ -81,11 +56,9 @@ class _ColumnStore:
     """Equal-length numpy columns, one per dataclass field.
 
     Columns named in OUTCOME_COLUMNS hold validated outcomes as int8, the
-    others integer labels as int64.  Row i is ROW built from the i-th
-    entry of every column, in field order.
+    others integer labels as int64.
     """
 
-    ROW: type
     OUTCOME_COLUMNS: tuple
 
     def __post_init__(self):
@@ -104,18 +77,11 @@ class _ColumnStore:
     def __len__(self) -> int:
         return len(self._columns()[0])
 
-    def __getitem__(self, i: int):
-        return self.ROW(*(int(c[i]) for c in self._columns()))
-
-    def __iter__(self) -> Iterator:
-        return map(self.ROW, *(c.tolist() for c in self._columns()))
-
 
 @dataclass(frozen=True, eq=False)
 class Events(_ColumnStore):
-    """One station's events in stream order; row i is StationEvent i."""
+    """One station's events in stream order."""
 
-    ROW = StationEvent
     OUTCOME_COLUMNS = ("outcome",)
 
     window: np.ndarray
@@ -125,9 +91,8 @@ class Events(_ColumnStore):
 
 @dataclass(frozen=True, eq=False)
 class Trials(_ColumnStore):
-    """Paired trials; row i is PairedTrial i."""
+    """Paired trials: both sides' settings and outcomes."""
 
-    ROW = PairedTrial
     OUTCOME_COLUMNS = ("a", "b")
 
     setting_a: np.ndarray
@@ -139,6 +104,9 @@ class Trials(_ColumnStore):
     def coincident(self) -> np.ndarray:
         """Mask of the trials where both sides actually fired."""
         return (self.a != NO_COUNT) & (self.b != NO_COUNT)
+
+    def __iter__(self) -> Iterator[PairedTrial]:
+        return map(PairedTrial, *(c.tolist() for c in self._columns()))
 
 
 @dataclass(frozen=True)

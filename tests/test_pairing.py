@@ -1,8 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bell_lab.core import NO_COUNT, Events, PairedTrial, RngStream, Trials
+from bell_lab.core import NO_COUNT, Events, RngStream, Trials
 from bell_lab.pairing import (UNPAIRED_SETTING, covariance, pair_random,
                               pair_systematic, pair_time_window)
 
@@ -15,6 +17,12 @@ def events_of(*rows):
 def trials_of(*rows):
     """Trials from (setting_a, setting_b, a, b) rows."""
     return Trials(*np.array(rows, dtype=np.int64).reshape(-1, 4).T)
+
+
+def rows(trials):
+    """(setting_a, setting_b, a, b) tuples read off the columns."""
+    return list(zip(trials.setting_a.tolist(), trials.setting_b.tolist(),
+                    trials.a.tolist(), trials.b.tolist()))
 
 
 def alternating_streams(na=1000, nb=1003):
@@ -36,7 +44,7 @@ def test_systematic_offset_flips_sign_with_parity():
         trials = pair_systematic(ea, eb, k)
         assert len(trials) == 1000
         want = -1.0 if k % 2 else 1.0
-        assert all(t.a * t.b == want for t in trials)
+        assert (trials.a * trials.b == want).all()
         assert covariance(trials) == want
 
 
@@ -44,7 +52,7 @@ def test_systematic_length_rule():
     ea, eb = alternating_streams(5, 3)
     assert len(pair_systematic(ea, eb, 1)) == 3
     assert len(pair_systematic(ea, eb, 2)) == 2
-    assert list(pair_systematic(ea, eb, 4)) == []
+    assert len(pair_systematic(ea, eb, 4)) == 0
     with pytest.raises(ValueError):
         pair_systematic(ea, eb, 0)
 
@@ -52,7 +60,7 @@ def test_systematic_length_rule():
 def test_systematic_carries_settings_through():
     ea = events_of((0, 7, 1))
     eb = events_of((0, 9, -1))
-    assert list(pair_systematic(ea, eb, 1)) == [PairedTrial(7, 9, 1, -1)]
+    assert rows(pair_systematic(ea, eb, 1)) == [(7, 9, 1, -1)]
 
 
 # ---------------------------------------------------------------------------
@@ -66,17 +74,14 @@ def test_random_pairing_respects_order_constraint():
     ea, eb = label_by_index(6), label_by_index(6)
     trials = pair_random(ea, eb, 500, RngStream(0).generator())
     assert len(trials) == 500
-    assert all(t.setting_a <= t.setting_b for t in trials)
+    assert (trials.setting_a <= trials.setting_b).all()
 
 
 def test_random_pairing_uniform_over_allowed_pairs():
     ea, eb = label_by_index(3), label_by_index(3)
     m = 30_000
     trials = pair_random(ea, eb, m, RngStream(1).generator())
-    counts = {}
-    for t in trials:
-        counts[(t.setting_a, t.setting_b)] = counts.get(
-            (t.setting_a, t.setting_b), 0) + 1
+    counts = Counter(zip(trials.setting_a.tolist(), trials.setting_b.tolist()))
     assert sorted(counts) == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
     for c in counts.values():  # 5 sigma around m/6
         assert abs(c - m / 6) < 5 * np.sqrt(m * (1 / 6) * (5 / 6))
@@ -85,10 +90,10 @@ def test_random_pairing_uniform_over_allowed_pairs():
 def test_random_pairing_edge_cases():
     ea, eb = label_by_index(4), label_by_index(4)
     gen = RngStream(2)
-    assert list(pair_random(ea, eb, 0, gen.generator())) == []
+    assert len(pair_random(ea, eb, 0, gen.generator())) == 0
     t1 = pair_random(ea, eb, 50, gen.generator())
     t2 = pair_random(ea, eb, 50, gen.generator())
-    assert list(t1) == list(t2)
+    assert rows(t1) == rows(t2)
     with pytest.raises(ValueError):
         pair_random(events_of(), eb, 5, gen.generator())
     with pytest.raises(ValueError):
@@ -106,11 +111,11 @@ def test_window_matching_hand_example():
     ea = events_of(ev(0, 1), ev(10, -1), ev(20, 1))
     eb = events_of(ev(1, -1), ev(9, 1), ev(100, -1))
     trials = pair_time_window(ea, eb, 2.0)
-    assert list(trials) == [
-        PairedTrial(0, 0, 1, -1),              # windows 0 and 1
-        PairedTrial(0, 0, -1, 1),              # windows 10 and 9
-        PairedTrial(0, UNPAIRED_SETTING, 1, NO_COUNT),    # lone A at 20
-        PairedTrial(UNPAIRED_SETTING, 0, NO_COUNT, -1),   # lone B at 100
+    assert rows(trials) == [
+        (0, 0, 1, -1),              # windows 0 and 1
+        (0, 0, -1, 1),              # windows 10 and 9
+        (0, UNPAIRED_SETTING, 1, NO_COUNT),    # lone A at 20
+        (UNPAIRED_SETTING, 0, NO_COUNT, -1),   # lone B at 100
     ]
 
 
@@ -119,15 +124,14 @@ def test_window_matching_is_greedy():
     ea = events_of(ev(5, 1))
     eb = events_of(ev(3, -1), ev(5, 1))
     trials = pair_time_window(ea, eb, 3.0)
-    assert trials[0] == PairedTrial(0, 0, 1, -1)
-    assert trials[1] == PairedTrial(UNPAIRED_SETTING, 0, NO_COUNT, 1)
+    assert rows(trials) == [(0, 0, 1, -1), (UNPAIRED_SETTING, 0, NO_COUNT, 1)]
 
 
 def test_window_bound_is_strict():
     ea = events_of(ev(0, 1))
     eb = events_of(ev(2, -1))
     trials = pair_time_window(ea, eb, 2.0)
-    assert all(not t.coincident for t in trials)
+    assert not trials.coincident.any()
     assert len(trials) == 2
 
 
@@ -137,34 +141,29 @@ def test_window_tie_orders_matched_trial_first():
     ea = events_of(ev(6, 1))
     eb = events_of(ev(5, -1, setting=1), ev(5, 1, setting=2))
     trials = pair_time_window(ea, eb, 2.0)
-    assert list(trials) == [PairedTrial(0, 1, 1, -1),
-                      PairedTrial(UNPAIRED_SETTING, 2, NO_COUNT, 1)]
+    assert rows(trials) == [(0, 1, 1, -1), (UNPAIRED_SETTING, 2, NO_COUNT, 1)]
 
 
 def reference_time_window(ea, eb, width):
-    """The record-by-record greedy merge the column version must equal."""
-    ea = sorted(ea, key=lambda e: e.window_index)
-    eb = sorted(eb, key=lambda e: e.window_index)
+    """The record-by-record greedy merge the column version must equal:
+    (window, setting, outcome) events in, (setting_a, setting_b, a, b)
+    trials out."""
+    ea = sorted(ea, key=lambda e: e[0])
+    eb = sorted(eb, key=lambda e: e[0])
     keyed, j, matched_b = [], 0, [False] * len(eb)
-    for a in ea:
-        while j < len(eb) and eb[j].window_index <= a.window_index - width:
+    for wa, sa, oa in ea:
+        while j < len(eb) and eb[j][0] <= wa - width:
             j += 1
-        if j < len(eb) and abs(eb[j].window_index - a.window_index) < width:
-            b = eb[j]
+        if j < len(eb) and abs(eb[j][0] - wa) < width:
+            wb, sb, ob = eb[j]
             matched_b[j] = True
             j += 1
-            keyed.append((min(a.window_index, b.window_index), 0,
-                          PairedTrial(a.setting_label, b.setting_label,
-                                      a.outcome, b.outcome)))
+            keyed.append((min(wa, wb), 0, (sa, sb, oa, ob)))
         else:
-            keyed.append((a.window_index, 0,
-                          PairedTrial(a.setting_label, UNPAIRED_SETTING,
-                                      a.outcome, NO_COUNT)))
-    for k, b in enumerate(eb):
+            keyed.append((wa, 0, (sa, UNPAIRED_SETTING, oa, NO_COUNT)))
+    for k, (wb, sb, ob) in enumerate(eb):
         if not matched_b[k]:
-            keyed.append((b.window_index, 1,
-                          PairedTrial(UNPAIRED_SETTING, b.setting_label,
-                                      NO_COUNT, b.outcome)))
+            keyed.append((wb, 1, (UNPAIRED_SETTING, sb, NO_COUNT, ob)))
     keyed.sort(key=lambda kt: (kt[0], kt[1]))
     return [t for _, _, t in keyed]
 
@@ -175,9 +174,26 @@ event_rows = st.lists(st.tuples(st.integers(0, 40), st.integers(0, 1),
 
 @given(event_rows, event_rows, st.sampled_from((0.5, 1, 1.5, 2, 3, 7.25)))
 def test_window_matching_equals_the_record_merge(rows_a, rows_b, width):
-    ea, eb = events_of(*rows_a), events_of(*rows_b)
-    want = reference_time_window(list(ea), list(eb), width)
-    assert list(pair_time_window(ea, eb, width)) == want
+    want = reference_time_window(rows_a, rows_b, width)
+    trials = pair_time_window(events_of(*rows_a), events_of(*rows_b), width)
+    assert rows(trials) == want
+
+
+@given(event_rows, event_rows, st.sampled_from((1, 2)))
+def test_trial_rows_count_like_the_columns(rows_a, rows_b, width):
+    # perfbench's window counter walks a pair_time_window result row by
+    # row; these are its counts, and they must equal the column sums
+    trials = pair_time_window(events_of(*rows_a), events_of(*rows_b), width)
+    n = coincident = unmatched_a = unmatched_b = 0
+    for t in trials:
+        n += 1
+        coincident += t.coincident
+        unmatched_a += t.setting_b == UNPAIRED_SETTING
+        unmatched_b += t.setting_a == UNPAIRED_SETTING
+    assert n == len(trials)
+    assert coincident == int(trials.coincident.sum())
+    assert unmatched_a == int((trials.setting_b == UNPAIRED_SETTING).sum())
+    assert unmatched_b == int((trials.setting_a == UNPAIRED_SETTING).sum())
 
 
 def test_window_validation():
