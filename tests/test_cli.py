@@ -169,6 +169,16 @@ def test_estimate_counter_stats(capsys, tmp_path):
     assert payload["results"]["s_value"] == pytest.approx(1.0 + 1.0 - 1.0 - (-1.0))
 
 
+@pytest.mark.parametrize("stat", ["chsh", "eberhard"])
+def test_estimate_rejects_a_repeated_setting_label(capsys, tmp_path, stat):
+    path = tmp_path / "trials.csv"
+    write_trials(path, trials_of((0, 1, 1, -1), (0, 1, -1, 1), (0, 1, 1, 1)))
+    assert_one_line_error(capsys, ["estimate", "--input", str(path),
+                                   "--stat", stat, "--a-labels", "0,0",
+                                   "--b-labels", "1,1"],
+                          "side A needs two different setting labels")
+
+
 def test_estimate_missing_file(capsys):
     assert main(["estimate", "--input", "/no/such/file.csv",
                  "--stat", "correlation"]) == 2

@@ -81,6 +81,19 @@ def test_chsh_respects_custom_labels():
     assert est.s_value == pytest.approx(-4.0)
 
 
+def test_chsh_and_j_reject_a_repeated_setting_label():
+    # every cell sits at (0, 1), so a repeated label would count the one
+    # setting pair as all four CHSH groups and all four J pairs
+    table = table_of(rows_at(0, 1, [(1, -1), (-1, 1), (1, 1)]))
+    for labels in (dict(a_labels=(0, 0), b_labels=(1, 1)),
+                   dict(a_labels=(0, 1), b_labels=(1, 1)),
+                   dict(a_labels=(0, 0), b_labels=(0, 1))):
+        with pytest.raises(ValueError, match="two different setting labels"):
+            chsh(table, **labels)
+        with pytest.raises(ValueError, match="two different setting labels"):
+            eberhard_counts(table, **labels)
+
+
 def test_chsh_no_counts_shrink_groups():
     trials = (rows_at(0, 0, [(1, 1), (0, 1)]) + rows_at(0, 1, [(1, 1)])
               + rows_at(1, 0, [(1, 1)]) + rows_at(1, 1, [(1, 1)]))
