@@ -359,6 +359,9 @@ def _homogeneity_for(values, args) -> dict:
 def cmd_homogeneity(args) -> int:
     import numpy as np
     from .core import read_events
+    if args.per_setting and args.column == "setting_label":
+        raise ValueError("--per-setting with --column setting_label tests a "
+                         "constant: one setting's labels are all equal")
     events = _read(read_events, args.input, "events")
     if not len(events):
         raise ValueError("no events in input")

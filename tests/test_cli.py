@@ -326,22 +326,22 @@ def test_homogeneity_on_simulated_events(capsys, tmp_path):
 
 
 def test_homogeneity_per_setting_reads_the_chosen_column(capsys, tmp_path):
-    # within one setting the setting_label column holds one value, so each
-    # setting's chi-square sees a single category; the outcomes do not
+    # per setting the outcomes vary; the setting_label column would hold
+    # one value per setting, so that combination is refused
     rng = np.random.default_rng(4)
     n = 400
     events = Events(np.arange(n), rng.integers(0, 2, size=n),
                     rng.choice([1, -1], size=n))
     path = tmp_path / "events.csv"
     write_events(path, events)
-    argv = ("homogeneity", "--input", str(path), "--per-setting",
-            "--method", "chi_square", "--bins", "0", "--parts", "3")
-    _, by_outcome, _ = run(capsys, *argv, "--column", "outcome")
-    _, by_setting, _ = run(capsys, *argv, "--column", "setting_label")
-    assert set(by_setting["results"]) == {"0", "1"}
-    for lab, res in by_setting["results"].items():
-        assert res["chi_square"]["details"]["note"] == "single category"
-        assert by_outcome["results"][lab]["chi_square"]["statistic"] > 0.0
+    argv = ["homogeneity", "--input", str(path), "--per-setting",
+            "--method", "chi_square", "--bins", "0", "--parts", "3"]
+    code, by_outcome, _ = run(capsys, *argv, "--column", "outcome")
+    assert code == 0 and set(by_outcome["results"]) == {"0", "1"}
+    for res in by_outcome["results"].values():
+        assert res["chi_square"]["statistic"] > 0.0
+    assert_one_line_error(capsys, argv + ["--column", "setting_label"],
+                          "--per-setting with --column setting_label")
 
 
 def test_homogeneity_input_errors(capsys, tmp_path):
