@@ -368,10 +368,8 @@ def cmd_homogeneity(args) -> int:
     column = events.outcome if args.column == "outcome" else events.setting
     values = column.astype(float)
     if args.per_setting:
-        results = {}
-        for lab in np.unique(events.setting).tolist():
-            sub = column[events.setting == lab].astype(float)
-            results[str(lab)] = _homogeneity_for(sub, args)
+        results = {str(lab): _homogeneity_for(values[events.setting == lab], args)
+                   for lab in np.unique(events.setting).tolist()}
     else:
         results = _homogeneity_for(values, args)
     _emit(args, {"n_values": int(values.size)}, results)

@@ -38,8 +38,7 @@ def check_outcomes(values) -> np.ndarray:
     return arr.astype(np.int8, copy=False)
 
 
-# perfbench's _window_counts reads .coincident, .setting_a and .setting_b off
-# Trials rows; this row type and Trials.__iter__ go with it (ROADMAP item 1)
+# only perfbench's _window_counts reads these rows; ROADMAP item 1 drops both
 class PairedTrial(NamedTuple):
     setting_a: int
     setting_b: int
@@ -53,11 +52,9 @@ class PairedTrial(NamedTuple):
 
 
 class _ColumnStore:
-    """Equal-length numpy columns, one per dataclass field.
-
-    Columns named in OUTCOME_COLUMNS hold validated outcomes as int8, the
-    others integer labels as int64.
-    """
+    """Equal-length numpy columns, one per dataclass field: validated
+    outcomes as int8 in OUTCOME_COLUMNS, integer labels as int64 in the
+    others."""
 
     OUTCOME_COLUMNS: tuple
 

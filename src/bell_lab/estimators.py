@@ -29,13 +29,11 @@ def _group(table: dict, coincident_only: bool, pair=None):
     return (total / n if n else None), n
 
 
-def _two_settings(labels, side: str) -> tuple:
-    """A side's (first, second) setting labels, which must differ."""
-    first, second = labels
-    if first == second:
-        raise ValueError(f"side {side} needs two different setting labels, "
-                         f"got {first!r} twice")
-    return first, second
+def _check_labels(a_labels, b_labels) -> None:
+    """Each side names two different setting labels."""
+    for side, (first, second) in zip("AB", (a_labels, b_labels)):
+        if first == second:
+            raise ValueError(f"side {side} names setting {first!r} twice")
 
 
 def correlation(table: dict, coincident_only: bool = True) -> float | None:
@@ -82,8 +80,7 @@ class ChshEstimate:
 def chsh(table: dict, a_labels=(0, 1), b_labels=(0, 1),
          coincident_only: bool = True) -> ChshEstimate:
     """Group the table by setting pair and assemble the CHSH combination."""
-    _two_settings(a_labels, "A")
-    _two_settings(b_labels, "B")
+    _check_labels(a_labels, b_labels)
     groups = [_group(table, coincident_only, (x, y))
               for x in a_labels for y in b_labels]
     return ChshEstimate(*(v for v, _ in groups), *(n for _, n in groups))
@@ -206,8 +203,9 @@ def eberhard_counts(table: dict,
     a_labels and b_labels give the (first, second) setting label on each
     side.  Table cells at other labels are an error.
     """
-    a1, a2 = _two_settings(a_labels, "A")
-    b1, b2 = _two_settings(b_labels, "B")
+    _check_labels(a_labels, b_labels)
+    a1, a2 = a_labels
+    b1, b2 = b_labels
     if any(x not in a_labels or y not in b_labels for x, y, _, _ in table):
         raise ValueError("trial settings outside the declared labels")
     return EberhardCounts(*(table.get(cell, 0) for cell in (

@@ -176,7 +176,7 @@ def test_estimate_rejects_a_repeated_setting_label(capsys, tmp_path, stat):
     assert_one_line_error(capsys, ["estimate", "--input", str(path),
                                    "--stat", stat, "--a-labels", "0,0",
                                    "--b-labels", "1,1"],
-                          "side A needs two different setting labels")
+                          "side A names setting 0 twice")
 
 
 def test_estimate_missing_file(capsys):

@@ -88,9 +88,9 @@ def test_chsh_and_j_reject_a_repeated_setting_label():
     for labels in (dict(a_labels=(0, 0), b_labels=(1, 1)),
                    dict(a_labels=(0, 1), b_labels=(1, 1)),
                    dict(a_labels=(0, 0), b_labels=(0, 1))):
-        with pytest.raises(ValueError, match="two different setting labels"):
+        with pytest.raises(ValueError, match="names setting . twice"):
             chsh(table, **labels)
-        with pytest.raises(ValueError, match="two different setting labels"):
+        with pytest.raises(ValueError, match="names setting . twice"):
             eberhard_counts(table, **labels)
 
 
