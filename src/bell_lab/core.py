@@ -38,7 +38,7 @@ def check_outcomes(values) -> np.ndarray:
     return arr.astype(np.int8, copy=False)
 
 
-# only perfbench's _window_counts reads these rows; ROADMAP item 1 drops both
+# only perfbench's _window_counts reads these rows; ROADMAP item 1 drops them
 class PairedTrial(NamedTuple):
     setting_a: int
     setting_b: int
