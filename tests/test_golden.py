@@ -166,6 +166,23 @@ def test_output_bytes_are_pinned(hashes, name):
 
 
 @pytest.mark.parametrize("label", ["systematic", "random", "window1", "window2"])
+def test_lf_event_files_pair_to_the_pinned_bytes(tmp_path, monkeypatch, capsys,
+                                                 label):
+    # the same event pair with LF line ends, as np.savetxt writes them
+    monkeypatch.chdir(tmp_path)
+    write_event_pair()
+    for name in ("a.csv", "b.csv"):
+        data = open(name, "rb").read()
+        assert data.count(b"\r\n") == data.count(b"\n")
+        with open(name, "wb") as fh:
+            fh.write(data.replace(b"\r\n", b"\n"))
+    assert main(COMMANDS[label] + ["--out", label]) == 0
+    capsys.readouterr()
+    name = f"{label}/trials.csv"
+    assert hashlib.sha256(open(name, "rb").read()).hexdigest() == GOLDEN[name]
+
+
+@pytest.mark.parametrize("label", ["systematic", "random", "window1", "window2"])
 def test_pair_summary_counts_unmatched_events(tmp_path, monkeypatch, capsys, label):
     # the golden event pair with each event's index as its setting label:
     # a trial then names its events, and an event no trial pairs with a
