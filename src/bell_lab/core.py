@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import warnings
 from dataclasses import dataclass, fields
 from typing import Iterator, NamedTuple, Sequence
 
@@ -178,25 +179,40 @@ def write_rows(path, header, rows) -> None:
         w.writerows(rows)
 
 
+# rows per %-format in _write_columns: the whole file at once costs ~40%
+# more peak memory at 1e6 rows and runs no faster
+WRITE_CHUNK_ROWS = 65536
+
+
 def _write_columns(path, header, store: _ColumnStore) -> None:
-    write_rows(path, header, zip(*(c.tolist() for c in store._columns())))
+    """The same bytes as write_rows, formatted a chunk of rows at a time."""
+    columns = store._columns()
+    line = ",".join(["%d"] * len(columns)) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for start in range(0, len(store), WRITE_CHUNK_ROWS):
+            chunk = np.column_stack([c[start:start + WRITE_CHUNK_ROWS]
+                                     for c in columns])
+            fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def read_columns(path, header) -> list:
-    """One int64 array per column named in header; blank lines are skipped."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        where = {name: i for i, name in enumerate(next(reader, []))}
-        rows = [row for row in reader if row]
-    try:
-        return [np.array([row[where[name]] for row in rows], dtype=np.int64)
-                for name in header]
-    except KeyError as exc:
-        raise ValueError(f"missing column {exc}") from None
-    except IndexError:
-        raise ValueError("a row has fewer cells than the header") from None
-    except OverflowError as exc:
-        raise ValueError(str(exc)) from None
+    """One int64 array per column named in header, found by name in the
+    file's header line.  LF and CRLF line ends both read, blank lines are
+    skipped and a quoted integer reads as the integer; a missing column,
+    a short row or a cell that is not an int64 is a ValueError."""
+    with open(path) as fh:
+        where = {name: i for i, name in enumerate(next(csv.reader(fh), []))}
+        missing = [name for name in header if name not in where]
+        if missing:
+            raise ValueError(f"missing column {missing[0]!r}")
+        with warnings.catch_warnings():
+            # a header-only file reads as empty columns
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            block = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2,
+                               usecols=[where[name] for name in header],
+                               comments=None, quotechar='"')
+    return list(block.T.copy())
 
 
 def write_events(path, events: Events) -> None:

@@ -417,17 +417,36 @@ def test_jitter_weight_choices_are_the_library_weights():
 # ---------------------------------------------------------------------------
 # malformed input and out-of-domain parameters exit 2 with one line
 
+EVENT_HEADER = "window_index,setting_label,outcome\r\n"
 EVENT_CSV = {
-    "outcome-2": "window_index,setting_label,outcome\r\n0,0,1\r\n1,0,2\r\n",
+    "outcome-2": EVENT_HEADER + "0,0,1\r\n1,0,2\r\n",
     "missing-column": "window_index,setting_label\r\n0,0\r\n1,1\r\n",
-    "non-integer": "window_index,setting_label,outcome\r\n0,0,1\r\n1,x,-1\r\n",
-    "header-only": "window_index,setting_label,outcome\r\n",
+    "empty-file": "",
+    "wrong-header-no-rows": "foo,bar\r\n",
+    "non-integer": EVENT_HEADER + "0,0,1\r\n1,x,-1\r\n",
+    "float": EVENT_HEADER + "0,0,1\r\n1.5,0,-1\r\n",
+    "empty-cell": EVENT_HEADER + "0,0,1\r\n1,,-1\r\n",
+    "comment": EVENT_HEADER + "0,0,1 # c\r\n",
+    "overflow": EVENT_HEADER + "99999999999999999999,0,1\r\n",
+    "short-row-only": EVENT_HEADER + "0,0\r\n",
+    "short-row-later": EVENT_HEADER + "0,0,1\r\n1,0\r\n",
+    "header-only": EVENT_HEADER,
 }
+TRIAL_HEADER = "setting_a,setting_b,a,b\r\n"
 TRIAL_CSV = {
-    "outcome-2": "setting_a,setting_b,a,b\r\n0,0,1,-1\r\n0,1,2,1\r\n",
+    "outcome-2": TRIAL_HEADER + "0,0,1,-1\r\n0,1,2,1\r\n",
     "missing-column": "setting_a,setting_b,a\r\n0,0,1\r\n",
-    "non-integer": "setting_a,setting_b,a,b\r\n0,0,1,-1\r\n0,1,1.5,1\r\n",
+    "empty-file": "",
+    "wrong-header-no-rows": "foo,bar\r\n",
+    "non-integer": TRIAL_HEADER + "0,0,1,-1\r\n0,1,1.5,1\r\n",
+    "empty-cell": TRIAL_HEADER + "0,0,1,-1\r\n0,,1,1\r\n",
+    "comment": TRIAL_HEADER + "0,0,1,-1 # c\r\n",
+    "overflow": TRIAL_HEADER + "0,99999999999999999999,1,-1\r\n",
+    "short-row-only": TRIAL_HEADER + "0,0,1\r\n",
+    "short-row-later": TRIAL_HEADER + "0,0,1,-1\r\n0,1,1\r\n",
 }
+# a file without the needed columns is refused even when it has no rows
+NO_COLUMNS = {"missing-column", "empty-file", "wrong-header-no-rows"}
 GOOD_EVENTS = "window_index,setting_label,outcome\r\n0,0,1\r\n1,1,-1\r\n"
 
 
@@ -444,16 +463,18 @@ def test_pair_rejects_malformed_events(capsys, tmp_path, case):
     bad.write_text(EVENT_CSV[case], newline="")
     good.write_text(GOOD_EVENTS, newline="")
     # random pairing needs events on both sides, so header-only fails too
+    needle = "reading events: missing column" if case in NO_COLUMNS else "error:"
     assert_one_line_error(capsys, ["pair", "--events-a", str(bad),
                                    "--events-b", str(good),
-                                   "--pairing", "random:10"])
+                                   "--pairing", "random:10"], needle)
 
 
 @pytest.mark.parametrize("case", sorted(EVENT_CSV))
 def test_homogeneity_rejects_malformed_events(capsys, tmp_path, case):
     bad = tmp_path / "bad.csv"
     bad.write_text(EVENT_CSV[case], newline="")
-    needle = "no events in input" if case == "header-only" else "error:"
+    needle = ("no events in input" if case == "header-only" else
+              "reading events: missing column" if case in NO_COLUMNS else "error:")
     assert_one_line_error(capsys, ["homogeneity", "--input", str(bad)], needle)
 
 
@@ -461,8 +482,9 @@ def test_homogeneity_rejects_malformed_events(capsys, tmp_path, case):
 def test_estimate_rejects_malformed_trials(capsys, tmp_path, case):
     bad = tmp_path / "bad.csv"
     bad.write_text(TRIAL_CSV[case], newline="")
+    needle = "reading trials: missing column" if case in NO_COLUMNS else "error:"
     assert_one_line_error(capsys, ["estimate", "--input", str(bad),
-                                   "--stat", "chsh"])
+                                   "--stat", "chsh"], needle)
 
 
 SCRIPT_CSV = {  # case -> (file, words the error names)

@@ -1,12 +1,19 @@
+import csv
+import io
+import tempfile
 from dataclasses import fields
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bell_lab.core import (OUTCOMES, Events, PairedTrial, RngStream, Trials,
-                           check_outcomes, read_events, read_trials,
-                           tabulate, write_events, write_trials)
+from bell_lab import core
+from bell_lab.core import (EVENT_FIELDS, OUTCOMES, TRIAL_FIELDS, Events,
+                           PairedTrial, RngStream, Trials, check_outcomes,
+                           read_events, read_trials, tabulate, write_events,
+                           write_trials)
 
 
 def trials_of(*rows):
@@ -142,3 +149,69 @@ def test_csv_columns_are_found_by_header_name(tmp_path):
     path.write_text("window_index,setting_label,outcome\n5,1\n")
     with pytest.raises(ValueError):
         read_events(path)
+
+
+EVENT_FILES = {  # the same two events, in each form the reader accepts
+    "lf": "window_index,setting_label,outcome\n5,1,-1\n6,0,1\n",
+    "crlf": "window_index,setting_label,outcome\r\n5,1,-1\r\n6,0,1\r\n",
+    "blank-lines": ("window_index,setting_label,outcome\r\n\r\n5,1,-1\r\n"
+                    "\r\n\r\n6,0,1\r\n\r\n"),
+    "quoted": 'window_index,setting_label,outcome\r\n"5","1",-1\r\n6,0,"1"\r\n',
+    "no-last-line-end": "window_index,setting_label,outcome\n5,1,-1\n6,0,1",
+    "long-row": "window_index,setting_label,outcome\n5,1,-1,7\n6,0,1\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(EVENT_FILES))
+def test_event_csv_forms_read_the_same_columns(tmp_path, case):
+    path = tmp_path / "events.csv"
+    path.write_bytes(EVENT_FILES[case].encode())
+    assert columns(read_events(path)) == [[5, 6], [1, 0], [-1, 1]]
+
+
+def csv_writer_bytes(header, store) -> bytes:
+    """What write_rows, that is csv.writer, makes of a column store."""
+    buf = io.StringIO(newline="")
+    out = csv.writer(buf)
+    out.writerow(header)
+    out.writerows(zip(*columns(store)))
+    return buf.getvalue().encode()
+
+
+def assert_written_like_csv_writer(events, trials):
+    with tempfile.TemporaryDirectory() as tmp:
+        for write, read, header, store in (
+                (write_events, read_events, EVENT_FIELDS, events),
+                (write_trials, read_trials, TRIAL_FIELDS, trials)):
+            path = Path(tmp) / "out.csv"
+            write(path, store)
+            assert path.read_bytes() == csv_writer_bytes(header, store)
+            back = read(path)
+            assert columns(back) == columns(store)
+            assert all(c.flags.c_contiguous for c in back._columns())
+
+
+INT64 = np.iinfo(np.int64)
+int64s = st.one_of(st.sampled_from([INT64.min, INT64.max, -1, 0]),
+                   st.integers(INT64.min, INT64.max))
+
+
+@given(st.lists(st.tuples(int64s, int64s, st.sampled_from(OUTCOMES),
+                          st.sampled_from(OUTCOMES)), max_size=12),
+       st.integers(1, 5))
+def test_column_writers_match_csv_writer(rows, chunk_rows):
+    # a small chunk size puts chunk boundaries inside a short file
+    block = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    with mock.patch.object(core, "WRITE_CHUNK_ROWS", chunk_rows):
+        assert_written_like_csv_writer(Events(*block[:, [0, 1, 2]].T),
+                                       Trials(*block.T))
+
+
+def test_column_writers_match_csv_writer_past_one_chunk():
+    n = core.WRITE_CHUNK_ROWS + 2
+    rng = np.random.default_rng(1)
+    big = rng.integers(INT64.min, INT64.max, size=(2, n), endpoint=True)
+    big[:, :2] = [[INT64.min, INT64.max], [INT64.max, INT64.min]]
+    a, b = rng.integers(-1, 2, size=(2, n))
+    assert_written_like_csv_writer(Events(big[0], big[1], a),
+                                   Trials(big[0], big[1], a, b))
