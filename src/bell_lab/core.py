@@ -179,8 +179,8 @@ def write_rows(path, header, rows) -> None:
         w.writerows(rows)
 
 
-# rows per %-format in _write_columns: the whole file at once costs ~40%
-# more peak memory at 1e6 rows and runs no faster
+# rows per %-format in _write_columns: formatting the whole file at once
+# doubles simulate's peak memory at 1e6 rows and runs no faster
 WRITE_CHUNK_ROWS = 65536
 
 
