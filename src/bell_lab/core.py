@@ -203,9 +203,9 @@ def read_columns(path, header) -> list:
     a short row or a cell that is not an int64 is a ValueError."""
     with open(path) as fh:
         where = {name: i for i, name in enumerate(next(csv.reader(fh), []))}
-        missing = [name for name in header if name not in where]
-        if missing:
-            raise ValueError(f"missing column {missing[0]!r}")
+        for name in header:
+            if name not in where:
+                raise ValueError(f"missing column {name!r}")
         with warnings.catch_warnings():
             # a header-only file reads as empty columns
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
