@@ -9,6 +9,7 @@ say so.
 import csv
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,7 +157,7 @@ def hashes(tmp_path_factory):
             fh.write(DRIFT_SPEC)
         for label, argv in COMMANDS.items():
             assert main(argv + ["--out", label]) == 0, label
-        return {name: hashlib.sha256(open(name, "rb").read()).hexdigest()
+        return {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
                 for name in GOLDEN}
 
 
@@ -172,14 +173,14 @@ def test_lf_event_files_pair_to_the_pinned_bytes(tmp_path, monkeypatch, capsys,
     monkeypatch.chdir(tmp_path)
     write_event_pair()
     for name in ("a.csv", "b.csv"):
-        data = open(name, "rb").read()
+        data = Path(name).read_bytes()
         assert data.count(b"\r\n") == data.count(b"\n")
         with open(name, "wb") as fh:
             fh.write(data.replace(b"\r\n", b"\n"))
     assert main(COMMANDS[label] + ["--out", label]) == 0
     capsys.readouterr()
     name = f"{label}/trials.csv"
-    assert hashlib.sha256(open(name, "rb").read()).hexdigest() == GOLDEN[name]
+    assert hashlib.sha256(Path(name).read_bytes()).hexdigest() == GOLDEN[name]
 
 
 @pytest.mark.parametrize("label", ["systematic", "random", "window1", "window2"])
@@ -191,7 +192,8 @@ def test_pair_summary_counts_unmatched_events(tmp_path, monkeypatch, capsys, lab
     write_event_pair()
     sizes = {}
     for name in ("a.csv", "b.csv"):
-        rows = list(csv.reader(open(name, newline="")))
+        with open(name, newline="") as fh:
+            rows = list(csv.reader(fh))
         sizes[name] = len(rows) - 1
         with open(name, "w", newline="") as fh:
             csv.writer(fh).writerows(
@@ -201,7 +203,7 @@ def test_pair_summary_counts_unmatched_events(tmp_path, monkeypatch, capsys, lab
     with open("out/trials.csv", newline="") as fh:
         trials = np.array([r for r in csv.reader(fh)][1:], dtype=int)
     paired = trials[(trials[:, 0] >= 0) & (trials[:, 1] >= 0)]
-    results = json.load(open("out/summary.json"))["results"]
+    results = json.loads(Path("out/summary.json").read_text())["results"]
     assert results["unmatched_a"] == sizes["a.csv"] - len(set(paired[:, 0]))
     assert results["unmatched_b"] == sizes["b.csv"] - len(set(paired[:, 1]))
     assert 0 < results["unmatched_a"] + results["unmatched_b"]
