@@ -10,7 +10,7 @@ this encoding.
 from __future__ import annotations
 
 import csv
-import itertools
+import re
 import warnings
 from dataclasses import dataclass, fields
 from typing import Iterator, NamedTuple, Sequence
@@ -137,22 +137,39 @@ class RngStream:
 _SLOT = np.array([OUTCOMES.index(v) for v in (-1, 0, 1)])
 
 
-def table_cells(settings_a: Sequence[int], settings_b: Sequence[int]) -> list:
-    """Keys (setting_a, setting_b, a, b) of the count table over two setting
-    grids, in table order: settings as given, outcomes in OUTCOMES order."""
-    return list(itertools.product(settings_a, settings_b, OUTCOMES, OUTCOMES))
+@dataclass(frozen=True, eq=False)
+class CountTable:
+    """Trial counts over (setting_a, setting_b, a, b), as one array.
+
+    counts[..., i, j, k, l] counts the trials at settings labels_a[i] and
+    labels_b[j] with outcomes OUTCOMES[k] and OUTCOMES[l]; any leading
+    axes index runs, each run one table.
+    """
+
+    labels_a: tuple
+    labels_b: tuple
+    counts: np.ndarray
+
+    def __post_init__(self):
+        shape = (len(self.labels_a), len(self.labels_b), 3, 3)
+        if self.counts.shape[-4:] != shape:
+            raise ValueError(f"counts of shape {self.counts.shape} "
+                             f"do not end in {shape}")
+
+    def at(self, x: int, y: int) -> np.ndarray:
+        """The (..., 3, 3) counts at setting pair (x, y), zero when the table
+        lacks either label."""
+        if x in self.labels_a and y in self.labels_b:
+            i, j = self.labels_a.index(x), self.labels_b.index(y)
+            return self.counts[..., i, j, :, :]
+        return np.zeros(self.counts.shape[:-4] + (3, 3), np.int64)
 
 
 def tabulate(trials: Trials,
              settings_a: Sequence[int] | None = None,
-             settings_b: Sequence[int] | None = None) -> dict:
-    """Count table over (setting_a, setting_b, a, b).
-
-    The key grid is the cross product of observed (or supplied) setting
-    labels, sorted, with the nine outcome pairs; cells never seen count
-    as zero, so every admissible key is present and the values sum to
-    the number of trials.
-    """
+             settings_b: Sequence[int] | None = None) -> CountTable:
+    """The CountTable of trials over the observed (or supplied) setting
+    labels, sorted; its counts sum to the number of trials."""
     sa, sb = trials.setting_a, trials.setting_b
     grid_a = np.unique(sa if settings_a is None else np.array(settings_a, np.int64))
     grid_b = np.unique(sb if settings_b is None else np.array(settings_b, np.int64))
@@ -164,7 +181,8 @@ def tabulate(trials: Trials,
     cell = ((np.searchsorted(grid_a, sa) * len(grid_b) + np.searchsorted(grid_b, sb))
             * 3 + _SLOT[trials.a + 1]) * 3 + _SLOT[trials.b + 1]
     counts = np.bincount(cell, minlength=9 * len(grid_a) * len(grid_b))
-    return dict(zip(table_cells(grid_a.tolist(), grid_b.tolist()), counts.tolist()))
+    return CountTable(tuple(grid_a.tolist()), tuple(grid_b.tolist()),
+                      counts.reshape(len(grid_a), len(grid_b), 3, 3))
 
 
 EVENT_FIELDS = ("window_index", "setting_label", "outcome")
@@ -196,22 +214,55 @@ def _write_columns(path, header, store: _ColumnStore) -> None:
             fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
+def _loadtxt(lines, usecols) -> np.ndarray:
+    with warnings.catch_warnings():
+        # a header-only file reads as empty columns
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2,
+                          usecols=usecols, comments=None, quotechar='"')
+
+
+# lines per loadtxt call while _raise_at_file_line looks for the bad one
+SCAN_CHUNK_LINES = 1024
+
+
+def _raise_at_file_line(path, usecols) -> None:
+    """Raise loadtxt's error for the first data line it refuses, naming the
+    file line for loadtxt's row; lines are tried a chunk, then one, at a time."""
+    with open(path, encoding="utf-8-sig") as fh:
+        header = csv.reader(fh)
+        next(header)
+        first, lines = header.line_num + 1, fh.readlines()
+    for start in range(0, len(lines), SCAN_CHUNK_LINES):
+        try:
+            _loadtxt(lines[start:start + SCAN_CHUNK_LINES], usecols)
+        except ValueError:
+            for number, line in enumerate(lines[start:], first + start):
+                try:
+                    _loadtxt([line], usecols)
+                except ValueError as err:
+                    message = re.sub(r"at row \d+", f"at line {number}", str(err))
+                    raise ValueError(message) from None
+
+
 def read_columns(path, header) -> list:
     """One int64 array per column named in header, found by name in the
-    file's header line.  LF and CRLF line ends both read, blank lines are
-    skipped and a quoted integer reads as the integer; a missing column,
-    a short row or a cell that is not an int64 is a ValueError."""
-    with open(path) as fh:
-        where = {name: i for i, name in enumerate(next(csv.reader(fh), []))}
+    file's header line.  A UTF-8 BOM is skipped, LF and CRLF line ends
+    both read, blank lines are skipped and a quoted integer reads as the
+    integer; a missing or repeated column, a short row or a cell that is
+    not an int64 is a ValueError, which names the file line of a bad row."""
+    with open(path, encoding="utf-8-sig") as fh:
+        names = next(csv.reader(fh), [])
         for name in header:
-            if name not in where:
-                raise ValueError(f"missing column {name!r}")
-        with warnings.catch_warnings():
-            # a header-only file reads as empty columns
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            block = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2,
-                               usecols=[where[name] for name in header],
-                               comments=None, quotechar='"')
+            if names.count(name) != 1:
+                raise ValueError(f"{'repeated' if name in names else 'missing'} "
+                                 f"column {name!r}")
+        usecols = [names.index(name) for name in header]
+        try:
+            block = _loadtxt(fh, usecols)
+        except ValueError:
+            _raise_at_file_line(path, usecols)
+            raise
     return list(block.T.copy())
 
 

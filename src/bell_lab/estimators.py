@@ -1,32 +1,44 @@
 """Finite-sample estimators.
 
-Everything here is an exact function of a count table over (setting_a,
-setting_b, a, b), as core.tabulate builds from recorded trials and the
-campaigns draw directly: pairwise correlations, the four-term CHSH
-combination, equal/unequal counters for the ball protocol, and the
-six-count J statistic.  Estimates that have no data behind them come
-back as None rather than a fabricated number.
+Everything here is an exact function of a core.CountTable, as
+core.tabulate builds from recorded trials and the campaigns draw
+directly: pairwise correlations, the four-term CHSH combination,
+equal/unequal counters for the ball protocol, and the six-count J
+statistic.  Estimates that have no data behind them come back as None
+rather than a fabricated number.  A table over runs gives one array per
+value, over runs, with NaN for None.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MINUS, NO_COUNT, PLUS
+from .core import MINUS, NO_COUNT, OUTCOMES, PLUS, CountTable, Trials, tabulate
 from .sources import SETTINGS_A, SETTINGS_B
 
+# a * b at each (a, b) outcome cell of a CountTable
+_PRODUCT = np.outer(OUTCOMES, OUTCOMES)
 
-def _group(table: dict, coincident_only: bool, pair=None):
-    """(mean of a*b, count used) over the cells at setting pair `pair`, or
-    over every cell; the mean is None when nothing is usable."""
-    total = n = 0
-    for (x, y, a, b), count in table.items():
-        if (pair is None or (x, y) == pair) and (a * b or not coincident_only):
-            total += a * b * count
-            n += count
-    return (total / n if n else None), n
+
+def plain(value):
+    """A value of one table as a Python number, NaN (undefined) as None; a
+    value over runs stays an array."""
+    if np.ndim(value):
+        return value
+    value = value.item()
+    return None if value != value else value
+
+
+def _group(cells: np.ndarray, coincident_only: bool):
+    """(mean of a*b, count used) over (..., 3, 3) outcome cells; the mean
+    is NaN where nothing is usable."""
+    used = cells * (_PRODUCT != 0) if coincident_only else cells
+    n = used.sum(axis=(-2, -1))
+    total = (used * _PRODUCT).sum(axis=(-2, -1))
+    return np.divide(total, n, out=np.full(n.shape, np.nan), where=n > 0), n
 
 
 def _check_labels(a_labels, b_labels) -> None:
@@ -36,9 +48,16 @@ def _check_labels(a_labels, b_labels) -> None:
             raise ValueError(f"side {side} names setting {first!r} twice")
 
 
-def correlation(table: dict, coincident_only: bool = True) -> float | None:
+def _check_inside(table: CountTable, a_labels, b_labels) -> None:
+    """The table labels side A only with a_labels and side B only with b_labels."""
+    if not {*table.labels_a} <= {*a_labels} or not {*table.labels_b} <= {*b_labels}:
+        raise ValueError(f"side A settings must be in {tuple(a_labels)} "
+                         f"and side B settings in {tuple(b_labels)}")
+
+
+def correlation(table: CountTable, coincident_only: bool = True) -> float | None:
     """Average product of the two outcomes, normally over coincident trials."""
-    return _group(table, coincident_only)[0]
+    return plain(_group(table.counts.sum(axis=(-4, -3)), coincident_only)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -77,13 +96,14 @@ class ChshEstimate:
                 "apb": self.e_apb, "apbp": self.e_apbp}
 
 
-def chsh(table: dict, a_labels=(0, 1), b_labels=(0, 1),
+def chsh(table: CountTable, a_labels=(0, 1), b_labels=(0, 1),
          coincident_only: bool = True) -> ChshEstimate:
     """Group the table by setting pair and assemble the CHSH combination."""
     _check_labels(a_labels, b_labels)
-    groups = [_group(table, coincident_only, (x, y))
+    groups = [_group(table.at(x, y), coincident_only)
               for x in a_labels for y in b_labels]
-    return ChshEstimate(*(v for v, _ in groups), *(n for _, n in groups))
+    return ChshEstimate(*(plain(v) for v, _ in groups),
+                        *(plain(n) for _, n in groups))
 
 
 # ---------------------------------------------------------------------------
@@ -97,18 +117,18 @@ class CounterSet:
     """Counts of equal and unequal coincident pairs per setting distance d.
 
     d = |setting_b - setting_a| takes the values 0..3 for the four
-    allowed setting pairs.  No-count trials touch neither counter.
+    allowed setting pairs.  No-count trials touch neither counter.  Each
+    counter is a tuple over d; for a table over runs, of arrays over runs.
     """
 
     n_e: tuple
     n_u: tuple
 
     def __post_init__(self):
-        ne = tuple(int(v) for v in self.n_e)
-        nu = tuple(int(v) for v in self.n_u)
+        ne, nu = tuple(self.n_e), tuple(self.n_u)
         if len(ne) != N_DELTAS or len(nu) != N_DELTAS:
             raise ValueError("counters are indexed by d = 0..3")
-        if any(v < 0 for v in ne + nu):
+        if min(np.min(v) for v in ne + nu) < 0:
             raise ValueError("counters are non-negative")
         object.__setattr__(self, "n_e", ne)
         object.__setattr__(self, "n_u", nu)
@@ -117,16 +137,17 @@ class CounterSet:
         return tuple(e + u for e, u in zip(self.n_e, self.n_u))
 
 
-def vongher_counters(table: dict) -> CounterSet:
+# the setting pair (x, y) at each distance d = |y - x| = 0..3
+_AT_DISTANCE = sorted(itertools.product(SETTINGS_A, SETTINGS_B),
+                      key=lambda pair: abs(pair[1] - pair[0]))
+
+
+def vongher_counters(table: CountTable) -> CounterSet:
     """Tally equal/unequal coincident pairs by setting distance."""
-    n_e, n_u = [0] * N_DELTAS, [0] * N_DELTAS
-    for (x, y, a, b), count in table.items():
-        if x not in SETTINGS_A or y not in SETTINGS_B:
-            raise ValueError(f"side A settings must be in {SETTINGS_A} "
-                             f"and side B settings in {SETTINGS_B}")
-        if a * b:
-            (n_e if a == b else n_u)[abs(y - x)] += count
-    return CounterSet(tuple(n_e), tuple(n_u))
+    _check_inside(table, SETTINGS_A, SETTINGS_B)
+    cells = [table.at(x, y) for x, y in _AT_DISTANCE]
+    return CounterSet(*([plain((c * (_PRODUCT == p)).sum(axis=(-2, -1)))
+                         for c in cells] for p in (1, -1)))
 
 
 @dataclass(frozen=True)
@@ -159,12 +180,10 @@ class CounterChsh:
 
 
 def chsh_from_counters(counters: CounterSet) -> CounterChsh:
-    totals = counters.totals()
-    if any(t == 0 for t in totals):
-        return CounterChsh((None,) * N_DELTAS, None)
-    e = tuple((u - eq) / t for eq, u, t in
-              zip(counters.n_e, counters.n_u, totals))
-    return CounterChsh(e, e[0] + e[1] + e[2] - e[3])
+    totals = np.array(counters.totals())
+    e = np.divide(np.subtract(counters.n_u, counters.n_e), totals,
+                  out=np.full(totals.shape, np.nan), where=(totals > 0).all(axis=0))
+    return CounterChsh(tuple(map(plain, e)), plain(e[0] + e[1] + e[2] - e[3]))
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +205,7 @@ class EberhardCounts:
     n_oo_22: int
 
     def __post_init__(self):
-        if any(v < 0 for v in vars(self).values()):
+        if min(np.min(v) for v in vars(self).values()) < 0:
             raise ValueError("counts are non-negative")
 
 
@@ -196,38 +215,29 @@ def eberhard_j(counts: EberhardCounts) -> int:
             + counts.n_uo_21 + counts.n_oo_22 - counts.n_oo_11)
 
 
-def eberhard_counts(table: dict,
+def eberhard_counts(table: CountTable,
                     a_labels=(0, 1), b_labels=(0, 1)) -> EberhardCounts:
     """Extract the six counts from a count table.
 
     a_labels and b_labels give the (first, second) setting label on each
-    side.  Table cells at other labels are an error.
+    side.  Table labels outside them are an error.
     """
     _check_labels(a_labels, b_labels)
-    a1, a2 = a_labels
-    b1, b2 = b_labels
-    if any(x not in a_labels or y not in b_labels for x, y, _, _ in table):
-        raise ValueError("trial settings outside the declared labels")
-    return EberhardCounts(*(table.get(cell, 0) for cell in (
-        (a1, b1, PLUS, PLUS), (a1, b2, PLUS, MINUS), (a1, b2, PLUS, NO_COUNT),
-        (a2, b1, MINUS, PLUS), (a2, b1, NO_COUNT, PLUS), (a2, b2, PLUS, PLUS))))
+    _check_inside(table, a_labels, b_labels)
+    (a1, a2), (b1, b2) = a_labels, b_labels
+    o, e, u = (OUTCOMES.index(v) for v in (PLUS, MINUS, NO_COUNT))
+    return EberhardCounts(*(plain(table.at(x, y)[..., i, j]) for x, y, i, j in (
+        (a1, b1, o, o), (a1, b2, o, e), (a1, b2, o, u),
+        (a2, b1, e, o), (a2, b1, u, o), (a2, b2, o, o))))
 
 
 def eberhard_counterfactual(a1, a2, b1, b2) -> EberhardCounts:
     """Counts when every row carries outcomes for both settings on both sides.
 
-    Each row contributes to every cell it matches, which is what makes
-    the J >= 0 bound a row-by-row identity.
+    Each row is one trial at each of the four setting pairs, which is what
+    makes the J >= 0 bound a row-by-row identity.
     """
-    a1 = np.asarray(a1)
-    a2 = np.asarray(a2)
-    b1 = np.asarray(b1)
-    b2 = np.asarray(b2)
-    return EberhardCounts(
-        n_oo_11=int(np.sum((a1 == PLUS) & (b1 == PLUS))),
-        n_oe_12=int(np.sum((a1 == PLUS) & (b2 == MINUS))),
-        n_ou_12=int(np.sum((a1 == PLUS) & (b2 == NO_COUNT))),
-        n_eo_21=int(np.sum((a2 == MINUS) & (b1 == PLUS))),
-        n_uo_21=int(np.sum((a2 == NO_COUNT) & (b1 == PLUS))),
-        n_oo_22=int(np.sum((a2 == PLUS) & (b2 == PLUS))),
-    )
+    x, y = np.repeat([[0, 0, 1, 1], [0, 1, 0, 1]], len(a1), axis=1)
+    trials = Trials(x, y, np.concatenate([a1, a1, a2, a2]),
+                    np.concatenate([b1, b2, b1, b2]))
+    return eberhard_counts(tabulate(trials, (0, 1), (0, 1)))

@@ -14,7 +14,9 @@ before learning the settings produce violation statistics run after run?
 A campaign run draws its count table directly, with the same law as
 the per-record samplers (generate_cfd_spreadsheet with gill_subsample,
 vongher_trials), which stay as the oracle.  Run i draws from
-stream.child(i), so a report depends on (seed, stream) alone.
+stream.child(i), so a report depends on (seed, stream) alone; the runs'
+tables are then stacked into one CountTable over runs and scored by one
+estimator call.
 """
 
 from __future__ import annotations
@@ -24,10 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (NO_COUNT, OUTCOMES, RngStream, Trials, table_cells,
-                   tabulate)
+from .core import NO_COUNT, OUTCOMES, CountTable, RngStream, Trials, tabulate
 from .estimators import (ChshEstimate, bell_counter_test, chsh,
-                         chsh_from_counters, vongher_counters)
+                         chsh_from_counters, plain, vongher_counters)
 from .sources import (ATOMS, SETTINGS_A, SETTINGS_B, BallTable, BallVariant,
                       InstructionDist, Spreadsheet4, generate_tennis_balls,
                       singlet_pairs)
@@ -53,23 +54,26 @@ def gill_subsample(sheet: Spreadsheet4, rng: np.random.Generator) -> ChshEstimat
                                 sheet.rows[row, 2 + pick_b])))
 
 
-GILL_CELLS = table_cells((0, 1), (0, 1))
-# the cell that instruction k (A, A', B, B') lands in when its coins read
-# column pick_a of side A and pick_b of side B, for coin group 2*pick_a + pick_b
-_GILL_CELL = np.array([[GILL_CELLS.index((pa, pb, atom[pa], atom[2 + pb]))
-                        for pa in (0, 1) for pb in (0, 1)] for atom in ATOMS])
+# position in OUTCOMES of the +1, -1 and no-count outcomes
+_PLUS, _MINUS, _NONE = (OUTCOMES.index(v) for v in (1, -1, 0))
+# coin group g = 2*pick_a + pick_b reads column pick_a of side A and pick_b
+# of side B; _GILL_CELL[k, g] is the flat CountTable cell that instruction
+# k (A, A', B, B') lands in under coin group g
+_PICK_A, _PICK_B = np.divmod(np.arange(4), 2)
+_GILL_CELL = np.ravel_multi_index((_PICK_A, _PICK_B, *(
+    np.where(np.array(ATOMS)[:, pick] == 1, _PLUS, _MINUS)
+    for pick in (_PICK_A, 2 + _PICK_B))), (2, 2, 3, 3))
 
 
 def gill_table(dist: InstructionDist, n_rows: int,
-               rng: np.random.Generator) -> dict:
+               rng: np.random.Generator) -> CountTable:
     """Count table of one coin-subsample run, with the law of gill_subsample
     on generate_cfd_spreadsheet(n_rows, dist).  Draw order: the count of
     each instruction, then the coin groups of each instruction's rows."""
     per_atom = rng.multinomial(n_rows, dist.probs)
     groups = rng.multinomial(per_atom, [0.25] * 4)
-    counts = np.bincount(_GILL_CELL.ravel(), weights=groups.ravel(),
-                         minlength=len(GILL_CELLS))
-    return dict(zip(GILL_CELLS, counts.astype(np.int64).tolist()))
+    counts = np.bincount(_GILL_CELL.ravel(), weights=groups.ravel(), minlength=36)
+    return CountTable((0, 1), (0, 1), counts.astype(np.int64).reshape(2, 2, 3, 3))
 
 
 # the per_run.csv header of each campaign; a report's rows follow it
@@ -131,21 +135,19 @@ def qrc_win_bound(runs: int) -> float:
     return 0.5 + 3.0 * math.sqrt(0.25 / runs)
 
 
-def _chsh_violated(s_value: float | None) -> int:
-    return int(s_value is not None and s_value > CHSH_BOUND)
-
-
 def gill_campaign(dist: InstructionDist, n_rows: int, runs: int,
                   stream: RngStream) -> CampaignReport:
-    """Run i scores the CHSH of gill_table(dist, n_rows) on stream.child(i)."""
+    """Run i scores the CHSH of gill_table(dist, n_rows) on stream.child(i);
+    all runs are scored at once."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    rows = []
-    for i in range(runs):
-        est = chsh(gill_table(dist, n_rows, stream.child(i).generator()))
-        rows.append((i, est.s_value, _chsh_violated(est.s_value), *est.sizes))
-    # column 2 is violated
-    return CampaignReport(GILL_FIELDS, tuple(rows), sum(r[2] for r in rows),
+    est = chsh(CountTable((0, 1), (0, 1), np.stack(
+        [gill_table(dist, n_rows, stream.child(i).generator()).counts
+         for i in range(runs)])))
+    violated = est.s_value > CHSH_BOUND
+    rows = zip(range(runs), map(plain, est.s_value), violated.astype(int).tolist(),
+               *(n.tolist() for n in est.sizes))
+    return CampaignReport(GILL_FIELDS, tuple(rows), int(violated.sum()),
                           qrc_bound=qrc_win_bound(runs))
 
 
@@ -196,12 +198,9 @@ def vongher_trials(source, n_pairs: int, rng: np.random.Generator) -> Trials:
     return Trials(sa, sb, a, b)
 
 
-VONGHER_CELLS = table_cells(SETTINGS_A, SETTINGS_B)
-_PLUS, _MINUS, _NONE = (OUTCOMES.index(v) for v in (1, -1, 0))
-
-
 def vongher_cell_probs(source) -> np.ndarray:
-    """Law of one vongher_trials trial over VONGHER_CELLS, shape (2, 2, 3, 3).
+    """Law of one vongher_trials trial over the cells of a CountTable on
+    SETTINGS_A and SETTINGS_B, shape (2, 2, 3, 3).
 
     Settings are fair and independent; given them, the two outcomes have
     uniform marginals and differ with probability p_unequal.  For a
@@ -228,28 +227,31 @@ def vongher_cell_probs(source) -> np.ndarray:
     return probs
 
 
-def vongher_table(source, n_pairs: int, rng: np.random.Generator) -> dict:
+def vongher_table(source, n_pairs: int, rng: np.random.Generator) -> CountTable:
     """Count table of one ball-protocol run: one multinomial draw of
-    n_pairs trials over VONGHER_CELLS, the law of vongher_trials."""
-    counts = rng.multinomial(n_pairs, vongher_cell_probs(source).ravel())
-    return dict(zip(VONGHER_CELLS, counts.tolist()))
+    n_pairs trials from vongher_cell_probs(source), the law of vongher_trials."""
+    probs = vongher_cell_probs(source)
+    return CountTable(SETTINGS_A, SETTINGS_B,
+                      rng.multinomial(n_pairs, probs.ravel()).reshape(probs.shape))
 
 
 def vongher_campaign(source, runs: int, n_pairs: int,
                      stream: RngStream) -> CampaignReport:
     """Run i scores the counters of vongher_table(source, n_pairs) on
-    stream.child(i) by both verdicts."""
+    stream.child(i) by both verdicts; all runs are scored at once."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
     probs = vongher_cell_probs(source).ravel()
-    rows = []
-    for i in range(runs):
-        counts = stream.child(i).generator().multinomial(n_pairs, probs)
-        counters = vongher_counters(dict(zip(VONGHER_CELLS, counts.tolist())))
-        bell = bell_counter_test(counters)
-        s = chsh_from_counters(counters).s_value
-        rows.append((i, bell.lhs, bell.rhs, int(bell.violated), s,
-                     _chsh_violated(s), *counters.n_e, *counters.n_u))
-    # columns 5 and 3 are chsh_violated and bell_violated
-    return CampaignReport(VONGHER_FIELDS, tuple(rows), sum(r[5] for r in rows),
-                          bell_violations=sum(r[3] for r in rows))
+    counts = np.stack([stream.child(i).generator().multinomial(n_pairs, probs)
+                       for i in range(runs)])
+    counters = vongher_counters(CountTable(SETTINGS_A, SETTINGS_B,
+                                           counts.reshape(runs, 2, 2, 3, 3)))
+    bell = bell_counter_test(counters)
+    s = chsh_from_counters(counters).s_value
+    violated = s > CHSH_BOUND
+    rows = zip(range(runs), bell.lhs.tolist(), bell.rhs.tolist(),
+               bell.violated.astype(int).tolist(), map(plain, s),
+               violated.astype(int).tolist(),
+               *(n.tolist() for n in counters.n_e + counters.n_u))
+    return CampaignReport(VONGHER_FIELDS, tuple(rows), int(violated.sum()),
+                          bell_violations=int(bell.violated.sum()))

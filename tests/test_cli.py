@@ -487,6 +487,30 @@ def test_estimate_rejects_malformed_trials(capsys, tmp_path, case):
                                    "--stat", "chsh"], needle)
 
 
+def test_estimate_refuses_a_repeated_needed_column(capsys, tmp_path):
+    # the first a column gives S = 4.0 and the last S = -2.0
+    bad = tmp_path / "trials.csv"
+    bad.write_text("setting_a,setting_b,a,b,a\n0,0,1,1,-1\n0,1,1,1,-1\n"
+                   "1,0,1,1,-1\n1,1,1,-1,1\n")
+    assert_one_line_error(capsys, ["estimate", "--input", str(bad), "--stat",
+                                   "chsh"], "reading trials: repeated column 'a'")
+
+
+def test_homogeneity_error_names_the_file_line(capsys, tmp_path):
+    bad = tmp_path / "events.csv"
+    bad.write_text(EVENT_HEADER + "0,0,1\r\n\r\n1,0,1\r\n2,x,1\r\n", newline="")
+    assert_one_line_error(capsys, ["homogeneity", "--input", str(bad)],
+                          "'x' to int64 at line 5, column 2.")
+
+
+def test_homogeneity_reads_a_bom_header(capsys, tmp_path):
+    events = tmp_path / "events.csv"
+    events.write_bytes(b"\xef\xbb\xbf" + GOOD_EVENTS.encode())
+    code, payload, _ = run(capsys, "homogeneity", "--input", str(events),
+                           "--bins", "0", "--method", "chi_square")
+    assert code == 0 and payload["sizes"]["n_values"] == 2
+
+
 SCRIPT_CSV = {  # case -> (file, words the error names)
     "short-row": ("i,j,x,y\n1,1,0\n", "reading script"),
     "missing-column": ("i,j,x\n1,1,0\n", "reading script"),

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bell_lab import core
-from bell_lab.core import (EVENT_FIELDS, OUTCOMES, TRIAL_FIELDS, Events,
-                           PairedTrial, RngStream, Trials, check_outcomes,
+from bell_lab.core import (EVENT_FIELDS, OUTCOMES, TRIAL_FIELDS, CountTable,
+                           Events, PairedTrial, RngStream, Trials, check_outcomes,
                            read_events, read_trials, tabulate, write_events,
                            write_trials)
 
@@ -96,16 +96,18 @@ def test_rng_stream_accepts_int_key():
 
 def test_tabulate_empty():
     table = tabulate(trials_of(), settings_a=(0,), settings_b=(0,))
-    assert len(table) == 9
-    assert all(v == 0 for v in table.values())
+    assert (table.labels_a, table.labels_b) == ((0,), (0,))
+    assert table.counts.shape == (1, 1, 3, 3) and not table.counts.any()
 
 
 def test_tabulate_constant_input():
     trials = trials_of(*[(1, 1, 1, -1)] * 3)
     table = tabulate(trials)
-    assert table[(1, 1, 1, -1)] == 3
-    assert sum(table.values()) == 3
-    assert sorted(table) == sorted((1, 1, a, b) for a in OUTCOMES for b in OUTCOMES)
+    assert (table.labels_a, table.labels_b) == ((1,), (1,))
+    assert table.counts.dtype == np.int64
+    assert table.at(1, 1)[OUTCOMES.index(1), OUTCOMES.index(-1)] == 3
+    assert table.counts.sum() == 3
+    assert not table.at(0, 1).any() and table.at(0, 1).shape == (3, 3)
 
 
 @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1),
@@ -114,14 +116,27 @@ def test_tabulate_constant_input():
 def test_tabulate_conserves_count(rows):
     trials = trials_of(*rows)
     table = tabulate(trials, settings_a=(0, 1), settings_b=(0, 1))
-    assert sum(table.values()) == len(trials)
-    # full key grid always present
-    assert len(table) == 4 * 9
+    assert table.counts.sum() == len(trials)
+    # the full label grid is always present
+    assert table.counts.shape == (2, 2, 3, 3)
+    for (x, y, a, b) in set(rows):
+        assert table.at(x, y)[OUTCOMES.index(a), OUTCOMES.index(b)] == rows.count(
+            (x, y, a, b))
 
 
 def test_tabulate_rejects_setting_outside_grid():
     with pytest.raises(ValueError):
         tabulate(trials_of((5, 0, 1, 1)), settings_a=(0,), settings_b=(0,))
+
+
+def test_count_table_reads_counts_at_labels_over_runs():
+    counts = np.arange(5 * 2 * 1 * 9).reshape(5, 2, 1, 3, 3)
+    table = CountTable((0, 3), (2,), counts)
+    assert np.array_equal(table.at(3, 2), counts[:, 1, 0])
+    # a label the table lacks reads as an empty group, on every run
+    assert table.at(1, 2).shape == (5, 3, 3) and not table.at(1, 2).any()
+    with pytest.raises(ValueError, match="do not end in"):
+        CountTable((0, 3), (2, 1), counts)
 
 
 def test_event_csv_round_trip(tmp_path):
@@ -159,6 +174,9 @@ EVENT_FILES = {  # the same two events, in each form the reader accepts
     "quoted": 'window_index,setting_label,outcome\r\n"5","1",-1\r\n6,0,"1"\r\n',
     "no-last-line-end": "window_index,setting_label,outcome\n5,1,-1\n6,0,1",
     "long-row": "window_index,setting_label,outcome\n5,1,-1,7\n6,0,1\n",
+    "bom": "\ufeffwindow_index,setting_label,outcome\r\n5,1,-1\r\n6,0,1\r\n",
+    "repeated-extra-column": ("window_index,x,setting_label,x,outcome\n"
+                              "5,,1,,-1\n6,,0,,1\n"),
 }
 
 
@@ -167,6 +185,37 @@ def test_event_csv_forms_read_the_same_columns(tmp_path, case):
     path = tmp_path / "events.csv"
     path.write_bytes(EVENT_FILES[case].encode())
     assert columns(read_events(path)) == [[5, 6], [1, 0], [-1, 1]]
+
+
+@pytest.mark.parametrize("header", ["window_index,setting_label,outcome,outcome",
+                                    "setting_label,window_index,outcome,setting_label"])
+def test_reader_refuses_a_repeated_needed_column(tmp_path, header):
+    path = tmp_path / "events.csv"
+    path.write_text(header + "\n5,1,-1,1\n")
+    with pytest.raises(ValueError, match="repeated column '(outcome|setting_label)'"):
+        read_events(path)
+
+
+HEADER = "window_index,setting_label,outcome\n"
+BAD_LINES = {  # file text -> the reader's error, which names the file line
+    HEADER + "0,0,1\n\n1,0,1\n2,x,1\n":
+        "could not convert string 'x' to int64 at line 5, column 2.",
+    HEADER + "0,0,1\n\n\n1,0\n":
+        "invalid column index 2 at line 5 with 2 columns",
+    "\ufeff" + HEADER.replace("\n", "\r\n") + "\r\n1,0,x\r\n":
+        "could not convert string 'x' to int64 at line 3, column 3.",
+    "outcome,window_index,setting_label\n" + "1,0,0\n" * 2500 + "\n-1,7,0.5\n":
+        "could not convert string '0.5' to int64 at line 2503, column 3.",
+}
+
+
+@pytest.mark.parametrize("text", sorted(BAD_LINES), ids=range(len(BAD_LINES)))
+def test_reader_errors_name_the_file_line(tmp_path, text):
+    path = tmp_path / "events.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(ValueError) as err:
+        read_events(path)
+    assert str(err.value) == BAD_LINES[text]
 
 
 def csv_writer_bytes(header, store) -> bytes:

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bell_lab.core import RngStream, Trials, tabulate
+from bell_lab.core import CountTable, RngStream, Trials, tabulate
 from bell_lab.estimators import (ChshEstimate, CounterSet, EberhardCounts,
                                  bell_counter_test, chsh, chsh_from_counters,
                                  correlation, eberhard_counterfactual,
-                                 eberhard_counts, eberhard_j, vongher_counters)
-from bell_lab.sources import singlet_pairs
+                                 eberhard_counts, eberhard_j, plain,
+                                 vongher_counters)
+from bell_lab.sources import SETTINGS_A, SETTINGS_B, singlet_pairs
 
 SQRT2 = math.sqrt(2.0)
 
@@ -220,3 +221,124 @@ def test_eberhard_counterfactual_additive_and_nonnegative(rows):
                   for row in rows)
     assert total == per_row
     assert total >= 0
+
+
+# ---------------------------------------------------------------------------
+# the array estimators against a dict walk over (x, y, a, b) cells
+
+def dict_table(rows) -> dict:
+    """The count table of rows as {(x, y, a, b): count}, cells seen only."""
+    table = {}
+    for row in rows:
+        table[row] = table.get(row, 0) + 1
+    return table
+
+
+def walk_group(table, coincident_only, pair=None):
+    """(mean of a*b, count used) over the cells at setting pair `pair`, or
+    over every cell; the mean is None when nothing is usable."""
+    total = n = 0
+    for (x, y, a, b), count in table.items():
+        if (pair is None or (x, y) == pair) and (a * b or not coincident_only):
+            total += a * b * count
+            n += count
+    return (total / n if n else None), n
+
+
+def walk_counters(table):
+    """(n_e, n_u) by distance |y - x|, or None when a label is off the grid."""
+    n_e, n_u = [0] * 4, [0] * 4
+    for (x, y, a, b), count in table.items():
+        if x not in SETTINGS_A or y not in SETTINGS_B:
+            return None
+        if a * b:
+            (n_e if a == b else n_u)[abs(y - x)] += count
+    return tuple(n_e), tuple(n_u)
+
+
+def walk_eberhard(table, a_labels, b_labels):
+    """The six J counts, or None when a label is outside a_labels, b_labels."""
+    if any(x not in a_labels or y not in b_labels for x, y, _, _ in table):
+        return None
+    (a1, a2), (b1, b2) = a_labels, b_labels
+    return tuple(table.get(cell, 0) for cell in (
+        (a1, b1, 1, 1), (a1, b2, 1, -1), (a1, b2, 1, 0),
+        (a2, b1, -1, 1), (a2, b1, 0, 1), (a2, b2, 1, 1)))
+
+
+OUTCOME = st.sampled_from((1, -1, 0))
+TWO_LABELS = st.lists(st.integers(0, 3), min_size=2, max_size=2, unique=True)
+
+
+@st.composite
+def rows_on_a_grid(draw):
+    """Rows (x, y, a, b) whose labels stay on the ball protocol's grid, or
+    may leave it."""
+    xs = draw(st.sampled_from([SETTINGS_A, (0, 1, 3)]))
+    ys = draw(st.sampled_from([SETTINGS_B, (0, 1, 2)]))
+    return draw(st.lists(st.tuples(st.sampled_from(xs), st.sampled_from(ys),
+                                   OUTCOME, OUTCOME), max_size=40))
+
+
+@given(rows_on_a_grid(), TWO_LABELS, TWO_LABELS, st.booleans())
+def test_estimators_match_a_dict_walk(rows, a_labels, b_labels, coincident_only):
+    # labels the table lacks count as empty groups
+    table, cells = table_of(rows), dict_table(rows)
+    assert correlation(table, coincident_only) == walk_group(cells, coincident_only)[0]
+    est = chsh(table, a_labels, b_labels, coincident_only)
+    groups = [walk_group(cells, coincident_only, (x, y))
+              for x in a_labels for y in b_labels]
+    e = [v for v, _ in groups]
+    assert list(est.terms().values()) == e
+    assert est.sizes == tuple(n for _, n in groups)
+    assert all(type(n) is int for n in est.sizes)
+    assert est.s_value == (None if None in e else e[0] + e[1] + e[2] - e[3])
+
+    counters = walk_counters(cells)
+    if counters is None:
+        with pytest.raises(ValueError, match="settings must be in"):
+            vongher_counters(table)
+    else:
+        got = vongher_counters(table)
+        assert (got.n_e, got.n_u) == counters
+        totals = [e + u for e, u in zip(*counters)]
+        e_tilde = ([(u - e) / t for e, u, t in zip(*counters, totals)]
+                   if all(totals) else [None] * 4)
+        cc = chsh_from_counters(got)
+        assert cc.e_tilde == tuple(e_tilde)
+        assert cc.s_value == (e_tilde[0] + e_tilde[1] + e_tilde[2] - e_tilde[3]
+                              if all(totals) else None)
+    counts = walk_eberhard(cells, a_labels, b_labels)
+    if counts is None:
+        with pytest.raises(ValueError, match="settings must be in"):
+            eberhard_counts(table, a_labels, b_labels)
+    else:
+        got = eberhard_counts(table, a_labels, b_labels)
+        assert tuple(vars(got).values()) == counts
+
+
+def values_of(table, coincident_only) -> tuple:
+    """Every value the estimators give for a table on the ball protocol's
+    grid, in a fixed order."""
+    labels = dict(a_labels=SETTINGS_A, b_labels=SETTINGS_B)
+    est = chsh(table, coincident_only=coincident_only, **labels)
+    counters = vongher_counters(table)
+    bell = bell_counter_test(counters)
+    cc = chsh_from_counters(counters)
+    return (correlation(table, coincident_only), *vars(est).values(), est.s_value,
+            *counters.n_e, *counters.n_u, bell.lhs, bell.rhs, bell.violated,
+            *cc.e_tilde, cc.s_value, *vars(eberhard_counts(table, **labels)).values())
+
+
+@given(st.lists(st.lists(st.tuples(st.sampled_from(SETTINGS_A),
+                                   st.sampled_from(SETTINGS_B), OUTCOME, OUTCOME),
+                         max_size=20), min_size=1, max_size=4),
+       st.booleans())
+def test_a_stacked_table_scores_each_run_as_its_slice(runs, coincident_only):
+    tables = [tabulate(trials_of(rows), SETTINGS_A, SETTINGS_B) for rows in runs]
+    stacked = CountTable(SETTINGS_A, SETTINGS_B,
+                         np.stack([t.counts for t in tables]))
+    over_runs = values_of(stacked, coincident_only)
+    for run, table in enumerate(tables):
+        assert (tuple(plain(np.asarray(v)[run]) for v in over_runs)
+                == values_of(table, coincident_only))

@@ -7,9 +7,8 @@ import pytest
 from bell_lab.core import OUTCOMES, RngStream, tabulate
 from bell_lab.estimators import (bell_counter_test, chsh, chsh_from_counters,
                                  vongher_counters)
-from bell_lab.randi import (CHSH_BOUND, CampaignReport, GILL_CELLS,
-                            GILL_FIELDS, VONGHER_ANGLE_UNIT, VONGHER_CELLS,
-                            VONGHER_FIELDS, draw_vongher_settings,
+from bell_lab.randi import (CHSH_BOUND, CampaignReport, GILL_FIELDS,
+                            VONGHER_ANGLE_UNIT, VONGHER_FIELDS, draw_vongher_settings,
                             gill_campaign, gill_subsample, gill_table,
                             measure_balls, QUANTUM_SOURCE, qrc_win_bound,
                             vongher_campaign, vongher_cell_probs,
@@ -168,7 +167,7 @@ def test_vongher_run_scores_its_table():
         assert rep.fields == VONGHER_FIELDS and rep.runs == 8
         for i, row in enumerate(rep.rows):
             table = vongher_table(source, 500, stream.child(i).generator())
-            assert sum(table.values()) == 500
+            assert table.counts.sum() == 500
             counters = vongher_counters(table)
             bell = bell_counter_test(counters)
             s = chsh_from_counters(counters).s_value
@@ -281,7 +280,8 @@ def test_gill_tables_match_per_record_oracle():
     drawn, oracle = [], []
     for i in range(400):
         table = gill_table(dist, 200, RngStream(22, (0, i)).generator())
-        assert sum(table.values()) == 200 and list(table) == GILL_CELLS
+        assert table.counts.sum() == 200 and table.counts.shape == (2, 2, 3, 3)
+        assert (table.labels_a, table.labels_b) == ((0, 1), (0, 1))
         drawn.append(group_counts(chsh(table)))
         r = RngStream(22, (1, i)).generator()
         oracle.append(group_counts(gill_subsample(
@@ -294,10 +294,11 @@ def test_gill_tables_match_per_record_oracle():
 def test_ball_tables_match_per_record_oracle(source):
     drawn, oracle = [], []
     for i in range(400):
-        drawn.append(list(vongher_table(
-            source, 200, RngStream(23, (0, i)).generator()).values()))
+        table = vongher_table(source, 200, RngStream(23, (0, i)).generator())
+        assert (table.labels_a, table.labels_b) == (SETTINGS_A, SETTINGS_B)
+        drawn.append(table.counts.ravel())
         trials = vongher_trials(source, 200, RngStream(23, (1, i)).generator())
         table = tabulate(trials, SETTINGS_A, SETTINGS_B)
-        assert list(table) == VONGHER_CELLS
-        oracle.append(list(table.values()))
+        assert (table.labels_a, table.labels_b) == (SETTINGS_A, SETTINGS_B)
+        oracle.append(table.counts.ravel())
     assert_means_agree(drawn, oracle)
