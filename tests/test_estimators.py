@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -226,14 +227,6 @@ def test_eberhard_counterfactual_additive_and_nonnegative(rows):
 # ---------------------------------------------------------------------------
 # the array estimators against a dict walk over (x, y, a, b) cells
 
-def dict_table(rows) -> dict:
-    """The count table of rows as {(x, y, a, b): count}, cells seen only."""
-    table = {}
-    for row in rows:
-        table[row] = table.get(row, 0) + 1
-    return table
-
-
 def walk_group(table, coincident_only, pair=None):
     """(mean of a*b, count used) over the cells at setting pair `pair`, or
     over every cell; the mean is None when nothing is usable."""
@@ -283,7 +276,8 @@ def rows_on_a_grid(draw):
 @given(rows_on_a_grid(), TWO_LABELS, TWO_LABELS, st.booleans())
 def test_estimators_match_a_dict_walk(rows, a_labels, b_labels, coincident_only):
     # labels the table lacks count as empty groups
-    table, cells = table_of(rows), dict_table(rows)
+    # the dict table: {(x, y, a, b): count} over the cells seen
+    table, cells = table_of(rows), dict(Counter(rows))
     assert correlation(table, coincident_only) == walk_group(cells, coincident_only)[0]
     est = chsh(table, a_labels, b_labels, coincident_only)
     groups = [walk_group(cells, coincident_only, (x, y))
