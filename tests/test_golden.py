@@ -77,6 +77,10 @@ GOLDEN = {
         "7b28834c904ed4daa527391ee8158288073d5eba7e08b182f2c026d26f22ff8f",
     "reproduce-gill/summary.json":
         "d79e231984595d75c4e3d0c7a6a4c535638f55342709980a2c04923dacfcd6b2",
+    "reproduce-breakdown/summary.json":
+        "08448eaebcaae8132825b82c807678dee1a4fac998a6284704a965d3f9d70061",
+    "reproduce-bellgame/summary.json":
+        "6879c3e92e45f2dce8d4bbf5a45a4be172fd3cd453ab21722f2144c10351c0a6",
 }
 
 COMMANDS = {
@@ -117,6 +121,8 @@ COMMANDS = {
                     "--seed", "9"],
     "reproduce-vongher": ["reproduce", "--target", "vongher-quantum"],
     "reproduce-gill": ["reproduce", "--target", "gill-boundary"],
+    "reproduce-breakdown": ["reproduce", "--target", "breakdown"],
+    "reproduce-bellgame": ["reproduce", "--target", "bellgame"],
 }
 
 
