@@ -41,30 +41,15 @@ def is_point(x, y, a, b):
 INPUT_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-@dataclass(frozen=True)
-class CounterfactualRow:
-    """All four input pairs played by one fixed program pair."""
-
-    i: int
-    j: int
-    answers: dict  # (x, y) -> (a, b)
-    score: int
-
-
-def counterfactual_table() -> list[CounterfactualRow]:
-    """Exhaustive 16-row table of program pairs and their scores."""
-    rows = []
-    for i in PROGRAM_IDS:
-        for j in PROGRAM_IDS:
-            answers = {}
-            score = 0
-            for x, y in INPUT_PAIRS:
-                a = program_output(i, x)
-                b = program_output(j, y)
-                answers[(x, y)] = (a, b)
-                score += is_point(x, y, a, b)
-            rows.append(CounterfactualRow(i, j, answers, score))
-    return rows
+def counterfactual_table() -> dict:
+    """Every program pair on every input pair, as columns: programs i and j
+    (16,), answers a and b (16, 4) over INPUT_PAIRS, and score (16,), the
+    input pairs each program pair wins."""
+    i, j = np.repeat(PROGRAM_IDS, 4), np.tile(PROGRAM_IDS, 4)
+    x, y = np.array(INPUT_PAIRS).T
+    _, _, a, b = _run(i[:, None], j[:, None], x, y)
+    return {"i": i, "j": j, "a": a, "b": b,
+            "score": np.count_nonzero(is_point(x, y, a, b), axis=1)}
 
 
 def _run(i: np.ndarray, j: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:

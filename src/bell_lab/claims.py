@@ -138,7 +138,7 @@ def _balls(source, n, stream) -> tuple:
 
 
 def _bellgame(n, stream):
-    scores = sorted({r.score for r in bellgame.counterfactual_table()})
+    scores = np.unique(bellgame.counterfactual_table()["score"]).tolist()
     games = ((bellgame.ScriptedStrategy(bellgame.PERFECT_SCRIPT), 4),
              (bellgame.RandomProgramStrategy(), n), (bellgame.QuantumStrategy(), n))
     script, rnd, qs = (bellgame.play_game(s, rounds, stream.child(k).generator())
@@ -166,9 +166,9 @@ def _chebyshev(n, stream):
 
 
 def _breakdown(n, stream):
-    report = stats.breakdown_demo(run_len=n, stream=stream)
-    return (report.n_rejecting(), abs(report.pooled.z),
-            report.homogeneity["chi_square"].p_value)
+    res = stats.breakdown_demo(stats.default_breakdown_spec(), 100, n, stream)
+    return (res["n_rejecting_100_sem"], abs(res["pooled"]["z"]),
+            res["homogeneity"]["chi_square"]["p_value"])
 
 
 # ---------------------------------------------------------------------------

@@ -345,15 +345,9 @@ def _homogeneity_for(values, args) -> dict:
     if args.bins and len(values) < args.bins:
         raise ValueError(f"only {len(values)} values for --bins {args.bins}")
     binned = stats.bin_means(values, args.bins) if args.bins else values
-    out = {}
     methods = stats.HOMOGENEITY_METHODS if args.method == "all" else (args.method,)
-    for m in methods:
-        data = values if m == "chi_square" else binned
-        parts = args.parts if m == "chi_square" else 2
-        res = stats.homogeneity_test(data, m, parts)
-        out[m] = {"statistic": res.statistic, "p_value": res.p_value,
-                  "details": res.details}
-    return out
+    return {m: stats.homogeneity_test(values, m, args.parts) if m == "chi_square"
+            else stats.homogeneity_test(binned, m) for m in methods}
 
 
 def cmd_homogeneity(args) -> int:
@@ -394,12 +388,10 @@ def _parse_breakdown_spec(d: dict):
 
 def cmd_breakdown(args) -> int:
     from . import stats
-    spec = None
-    if args.spec is not None:
-        spec = _parse_breakdown_spec(_load_config(args.spec))
-    report = stats.breakdown_demo(spec, args.runs, args.run_len,
-                                  _stream_of(args))
-    results = report.to_dict()
+    spec = (stats.default_breakdown_spec() if args.spec is None
+            else _parse_breakdown_spec(_load_config(args.spec)))
+    results = stats.breakdown_demo(spec, args.runs, args.run_len,
+                                   _stream_of(args))
     _emit(args, {"runs": args.runs, "run_len": args.run_len}, results)
     return 0
 

@@ -23,6 +23,15 @@ NO_COUNT = 0
 OUTCOMES = (PLUS, MINUS, NO_COUNT)
 
 
+def plain(value):
+    """A value of one table as a Python number, NaN (undefined) as None; a
+    value over runs stays an array."""
+    if np.ndim(value):
+        return value
+    value = value.item()
+    return None if value != value else value
+
+
 def _integers(values, what: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.size and arr.dtype.kind not in "iu":

@@ -16,20 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MINUS, NO_COUNT, OUTCOMES, PLUS, CountTable, Trials, tabulate
+from .core import (MINUS, NO_COUNT, OUTCOMES, PLUS, CountTable, Trials, plain,
+                   tabulate)
 from .sources import SETTINGS_A, SETTINGS_B
 
 # a * b at each (a, b) outcome cell of a CountTable
 _PRODUCT = np.outer(OUTCOMES, OUTCOMES)
-
-
-def plain(value):
-    """A value of one table as a Python number, NaN (undefined) as None; a
-    value over runs stays an array."""
-    if np.ndim(value):
-        return value
-    value = value.item()
-    return None if value != value else value
 
 
 def _group(cells: np.ndarray, coincident_only: bool):

@@ -26,9 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NO_COUNT, OUTCOMES, CountTable, RngStream, Trials, tabulate
+from .core import (NO_COUNT, OUTCOMES, CountTable, RngStream, Trials, plain,
+                   tabulate)
 from .estimators import (ChshEstimate, bell_counter_test, chsh,
-                         chsh_from_counters, plain, vongher_counters)
+                         chsh_from_counters, vongher_counters)
 from .sources import (ATOMS, SETTINGS_A, SETTINGS_B, BallTable, BallVariant,
                       InstructionDist, Spreadsheet4, generate_tennis_balls,
                       singlet_pairs)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream
+from .core import RngStream, plain
 
 
 @dataclass(frozen=True)
@@ -68,15 +68,12 @@ def bin_means(values, n_bins: int) -> np.ndarray:
 HOMOGENEITY_METHODS = ("chi_square", "ks", "runs")
 
 
-@dataclass(frozen=True)
-class HomogeneityResult:
-    method: str
-    statistic: float
-    p_value: float
-    details: dict
+def _result(statistic, p_value, **details) -> dict:
+    return {"statistic": float(statistic), "p_value": float(p_value),
+            "details": details}
 
 
-def table_homogeneity(table, **details) -> HomogeneityResult:
+def table_homogeneity(table, **details) -> dict:
     """Contingency chi-square: do all rows of a count table share one law?
 
     Rows are parts of a series and columns are categories.  A category
@@ -87,11 +84,10 @@ def table_homogeneity(table, **details) -> HomogeneityResult:
     table = table[:, table.sum(axis=0) > 0]
     from scipy import stats as sps  # about a second to import: load on use
     stat, p_value, dof, _ = sps.chi2_contingency(table)
-    return HomogeneityResult("chi_square", float(stat), float(p_value),
-                             {"dof": int(dof), **details})
+    return _result(stat, p_value, dof=int(dof), **details)
 
 
-def _chi_square_parts(values: np.ndarray, n_parts: int) -> HomogeneityResult:
+def _chi_square_parts(values: np.ndarray, n_parts: int) -> dict:
     if n_parts < 2:
         raise ValueError("the chi_square variant compares at least 2 parts")
     size = values.size // n_parts
@@ -100,24 +96,22 @@ def _chi_square_parts(values: np.ndarray, n_parts: int) -> HomogeneityResult:
     used = values[:size * n_parts]
     cats, coded = np.unique(used, return_inverse=True)
     if cats.size < 2:
-        return HomogeneityResult("chi_square", 0.0, 1.0,
-                                 {"note": "single category", "parts": n_parts})
+        return _result(0.0, 1.0, note="single category", parts=n_parts)
     table = [np.bincount(part, minlength=cats.size)
              for part in coded.reshape(n_parts, size)]
     return table_homogeneity(table, parts=n_parts, categories=cats.tolist())
 
 
-def _ks_halves(values: np.ndarray) -> HomogeneityResult:
+def _ks_halves(values: np.ndarray) -> dict:
     half = values.size // 2
     if half < 1:
         raise ValueError("need at least 2 values")
     from scipy import stats as sps
     res = sps.ks_2samp(values[:half], values[half:2 * half])
-    return HomogeneityResult("ks", float(res.statistic), float(res.pvalue),
-                             {"half_size": half})
+    return _result(res.statistic, res.pvalue, half_size=half)
 
 
-def runs_test(values) -> HomogeneityResult:
+def runs_test(values) -> dict:
     """Wald-Wolfowitz runs test around the median, normal approximation.
 
     Values equal to the median are dropped.  A sequence stuck on one
@@ -131,8 +125,7 @@ def runs_test(values) -> HomogeneityResult:
     n2 = int(signs.size - n1)
     if n1 == 0 or n2 == 0 or n1 == n2 == 1:  # n1 = n2 = 1: always two runs
         note = "too few values" if n1 * n2 else "one-sided sequence"
-        return HomogeneityResult("runs", 0.0, 1.0,
-                                 {"note": note, "n_above": n1, "n_below": n2})
+        return _result(0.0, 1.0, note=note, n_above=n1, n_below=n2)
     r = 1 + int(np.sum(signs[1:] != signs[:-1]))
     n = n1 + n2
     mean_r = 1.0 + 2.0 * n1 * n2 / n
@@ -140,17 +133,17 @@ def runs_test(values) -> HomogeneityResult:
     z = (r - mean_r) / math.sqrt(var_r)
     from scipy import stats as sps
     p = 2.0 * float(sps.norm.sf(abs(z)))
-    return HomogeneityResult("runs", float(z), min(1.0, p),
-                             {"runs": r, "n_above": n1, "n_below": n2})
+    return _result(z, min(1.0, p), runs=r, n_above=n1, n_below=n2)
 
 
 def homogeneity_test(values, method: str = "chi_square",
-                     n_parts: int = 2) -> HomogeneityResult:
+                     n_parts: int = 2) -> dict:
     """Test whether a sequence looks identically distributed along its length.
 
     chi_square compares category counts across n_parts contiguous parts;
     ks compares the two halves as continuous samples; runs checks the
-    above/below-median pattern for clustering.
+    above/below-median pattern for clustering.  Every test returns
+    {"statistic", "p_value", "details"}.
     """
     arr = np.asarray(values)
     if method == "chi_square":
@@ -194,7 +187,8 @@ class DriftingDeviceSpec:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "regimes", tuple(regs))
 
-    def check_covers(self, runs: int) -> None:
+    def run_probs(self, runs: int) -> np.ndarray:
+        """The (runs, symbols) probabilities, row i the law of run i."""
         edge = 0
         for start, stop, _ in self.regimes:
             if start != edge or stop <= start:
@@ -202,12 +196,8 @@ class DriftingDeviceSpec:
             edge = stop
         if edge != runs:
             raise ValueError(f"regimes cover {edge} runs, campaign has {runs}")
-
-    def probs_for(self, run: int) -> tuple:
-        for start, stop, probs in self.regimes:
-            if start <= run < stop:
-                return probs
-        raise ValueError(f"run {run} outside all regimes")
+        return np.repeat([p for _, _, p in self.regimes],
+                         [stop - start for start, stop, _ in self.regimes], axis=0)
 
 
 def default_breakdown_spec() -> DriftingDeviceSpec:
@@ -221,96 +211,62 @@ def default_breakdown_spec() -> DriftingDeviceSpec:
     return DriftingDeviceSpec(values, ((0, 50, heavy), (50, 100, heavy[::-1])))
 
 
-@dataclass(frozen=True)
-class RunStat:
-    """One run's view of the statistic x = null_margin under study.
-
-    z is None when the run shows no spread at all (sem = 0).
-    """
-
-    run: int
-    n: int
-    mean: float
-    sem: float
-    z: float | None
+REJECT_SEM = 100.0  # the n_rejecting_100_sem key names it
 
 
-REJECT_SEM = 100.0  # the n_rejecting_100_sem key of to_dict names it
-
-
-@dataclass(frozen=True)
-class BreakdownReport:
-    """Per-run and pooled significance plus homogeneity of the whole series.
-
-    The tested margin is x = 1 - value; the null says its mean is >= 0.
-    A run rejects when z drops below -REJECT_SEM.
-    """
-
-    per_run: tuple
-    pooled: RunStat
-    homogeneity: dict
-    symbol_counts: tuple
-
-    def n_rejecting(self) -> int:
-        return sum(1 for r in self.per_run
-                   if r.z is not None and r.z < -REJECT_SEM)
-
-    def to_dict(self) -> dict:
-        return {
-            "runs": len(self.per_run),
-            "run_length": self.per_run[0].n,
-            "per_run": [{"run": r.run, "mean": r.mean, "sem": r.sem, "z": r.z}
-                        for r in self.per_run],
-            "pooled": {"n": self.pooled.n, "mean": self.pooled.mean,
-                       "sem": self.pooled.sem, "z": self.pooled.z},
-            "n_rejecting_100_sem": self.n_rejecting(),
-            "homogeneity": {name: {"statistic": h.statistic,
-                                   "p_value": h.p_value}
-                            for name, h in self.homogeneity.items()},
-        }
-
-
-def _run_stat(run: int, counts: np.ndarray, margins: np.ndarray) -> RunStat:
-    n = int(counts.sum())
-    s1 = float(np.dot(counts, margins))
-    s2 = float(np.dot(counts, margins ** 2))
+def _margin_stats(counts: np.ndarray, margins: np.ndarray) -> tuple:
+    """n, mean, SEM and z of x = margin over the last axis of counts; z is
+    NaN where the counts show no spread at all (SEM = 0)."""
+    n = counts.sum(axis=-1)
+    # one dot product per row, summed as np.dot sums a single row
+    s1, s2 = ((counts[..., None, :] @ m[:, None])[..., 0, 0]
+              for m in (margins, margins ** 2))
     mean = s1 / n
-    var = (s2 - n * mean ** 2) / (n - 1)
-    se = math.sqrt(max(var, 0.0) / n)
-    return RunStat(run, n, mean, se, mean / se if se > 0 else None)
+    # float_power calls pow() as Python's float ** 2 does; an array's ** 2
+    # multiplies, which rounds differently for about 0.1% of values
+    var = (s2 - n * np.float_power(mean, 2)) / (n - 1)
+    sem = np.sqrt(np.maximum(var, 0.0) / n)
+    z = np.divide(mean, sem, out=np.full(np.shape(mean), np.nan), where=sem > 0)
+    return n, mean, sem, z
 
 
-def breakdown_demo(spec: DriftingDeviceSpec | None = None, runs: int = 100,
-                   run_len: int = 100_000,
-                   stream: RngStream | None = None) -> BreakdownReport:
+def breakdown_demo(spec: DriftingDeviceSpec, runs: int, run_len: int,
+                   stream: RngStream) -> dict:
     """Run the drifting device and score it every way at once.
 
     Every single run rejects the pooled-mean hypothesis with enormous
     significance, the pooled series quietly accepts it, and the
     homogeneity battery explains why: the series is not one experiment.
-    Run i draws its symbol counts, one multinomial, from stream.child(i).
+    The tested margin is x = 1 - value and the null says its mean is
+    >= 0; a run rejects when z drops below -REJECT_SEM.  Run i draws its
+    symbol counts, one multinomial, from stream.child(i).  Returns the
+    results breakdown writes to summary.json; z is None where SEM = 0.
     """
     if run_len < 2:
         raise ValueError("run_len must be >= 2 for a standard error")
     if runs < 2:
         raise ValueError("runs must be >= 2 to compare two halves")
-    spec = spec if spec is not None else default_breakdown_spec()
-    stream = stream if stream is not None else RngStream(0)
-    spec.check_covers(runs)
+    probs = spec.run_probs(runs)
+    counts = np.array([stream.child(i).generator().multinomial(run_len, p)
+                       for i, p in enumerate(probs)])
     margins = 1.0 - np.asarray(spec.values)
-    counts = np.array([stream.child(i).generator().multinomial(
-        run_len, spec.probs_for(i)) for i in range(runs)])
-    per_run = [_run_stat(i, c, margins) for i, c in enumerate(counts)]
-    pooled_counts = counts.sum(axis=0)
-    pooled = _run_stat(-1, pooled_counts, margins)
-
+    _, mean, sem, z = _margin_stats(counts, margins)
+    pooled = _margin_stats(counts.sum(axis=0), margins)
     half = runs // 2
-    run_means = np.array([r.mean for r in per_run])
     homogeneity = {
         "chi_square": table_homogeneity([counts[:half].sum(axis=0),
                                          counts[half:].sum(axis=0)]),
-        "ks": _ks_halves(run_means),
-        "runs": runs_test(run_means),
+        "ks": _ks_halves(mean),
+        "runs": runs_test(mean),
     }
-    return BreakdownReport(tuple(per_run), pooled, homogeneity,
-                           tuple(int(v) for v in pooled_counts))
+    return {
+        "runs": runs,
+        "run_length": run_len,
+        "per_run": [{"run": i, "mean": m, "sem": s, "z": plain(v)}
+                    for i, (m, s, v) in enumerate(zip(mean.tolist(),
+                                                      sem.tolist(), z))],
+        "pooled": dict(zip(("n", "mean", "sem", "z"), map(plain, pooled))),
+        "n_rejecting_100_sem": int(np.count_nonzero(z < -REJECT_SEM)),
+        "homogeneity": {name: {k: h[k] for k in ("statistic", "p_value")}
+                        for name, h in homogeneity.items()},
+    }

@@ -243,7 +243,7 @@ def test_criterion_10_stats_machinery(capsys):
                           ("runs", lambda r: r.normal(size=400)),
                           ("chi_square", lambda r: r.integers(0, 6, size=600))):
         ps = np.array([stats.homogeneity_test(
-            maker(RngStream(1234, (i,)).generator()), method).p_value
+            maker(RngStream(1234, (i,)).generator()), method)["p_value"]
             for i in range(reps)])
         for d in np.arange(0.1, 1.0, 0.1):
             worst_dev = max(worst_dev, abs(float(np.mean(ps <= d)) - d))

@@ -39,27 +39,34 @@ def test_is_point_rule():
 
 def test_counterfactual_table_scores():
     table = counterfactual_table()
-    assert len(table) == 16
-    assert {(r.i, r.j) for r in table} == {(i, j) for i in PROGRAM_IDS
-                                           for j in PROGRAM_IDS}
-    scores = [r.score for r in table]
+    assert {k: v.shape for k, v in table.items()} == {
+        "i": (16,), "j": (16,), "a": (16, 4), "b": (16, 4), "score": (16,)}
+    assert set(zip(table["i"].tolist(), table["j"].tolist())) == {
+        (i, j) for i in PROGRAM_IDS for j in PROGRAM_IDS}
+    scores = table["score"].tolist()
     # no committed program pair wins all four input pairs
     assert max(scores) == 3
     assert set(scores) == {1, 3}
     assert scores.count(3) == 8
     assert sum(scores) == 32
-    for row in table:
-        assert row.score == sum(is_point(x, y, *row.answers[(x, y)])
-                                for x, y in INPUT_PAIRS)
+    for i, j, a, b, score in zip(*(table[k].tolist() for k in table)):
+        assert a == [program_output(i, x) for x, _ in INPUT_PAIRS]
+        assert b == [program_output(j, y) for _, y in INPUT_PAIRS]
+        assert score == sum(is_point(x, y, program_output(i, x),
+                                     program_output(j, y))
+                            for x, y in INPUT_PAIRS)
 
 
 def test_perfect_script_rows_win_their_own_round():
-    table = {(r.i, r.j): r for r in counterfactual_table()}
+    table = counterfactual_table()
+    row = {ij: k for k, ij in enumerate(zip(table["i"].tolist(),
+                                            table["j"].tolist()))}
     assert {(x, y) for _, _, x, y in PERFECT_SCRIPT} == set(INPUT_PAIRS)
     for i, j, x, y in PERFECT_SCRIPT:
-        row = table[(i, j)]
-        assert is_point(x, y, *row.answers[(x, y)])
-        assert row.score == 3  # still loses one of its counterfactual rounds
+        k, col = row[(i, j)], INPUT_PAIRS.index((x, y))
+        assert is_point(x, y, table["a"][k, col], table["b"][k, col])
+        # it still loses one of its counterfactual rounds
+        assert table["score"][k] == 3
 
 
 # ---------------------------------------------------------------------------
@@ -70,11 +77,12 @@ XS, YS = (np.array(c) for c in zip(*INPUT_PAIRS))
 
 
 def test_fixed_strategy_replays_the_table():
-    for row in counterfactual_table():
-        i, j, a, b = FixedProgramStrategy(row.i, row.j).answers(XS, YS, rng())
-        assert i.tolist() == [row.i] * 4 and j.tolist() == [row.j] * 4
-        assert list(zip(a.tolist(), b.tolist())) == [
-            row.answers[xy] for xy in INPUT_PAIRS]
+    table = counterfactual_table()
+    for k, (ti, tj) in enumerate(zip(table["i"].tolist(), table["j"].tolist())):
+        i, j, a, b = FixedProgramStrategy(ti, tj).answers(XS, YS, rng())
+        assert i.tolist() == [ti] * 4 and j.tolist() == [tj] * 4
+        assert a.tolist() == table["a"][k].tolist()
+        assert b.tolist() == table["b"][k].tolist()
     with pytest.raises(ValueError):
         FixedProgramStrategy(0, 1)
 

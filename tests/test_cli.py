@@ -598,12 +598,18 @@ def test_help_version_and_usage_errors_leave_numpy_unloaded(argv):
     assert "numpy" not in loaded_after(code)
 
 
-def test_a_command_loads_only_the_modules_it_runs():
-    loaded = loaded_after("from bell_lab.cli import main; assert main("
-                          "['qrc-gill', '--runs', '2', '--rows', '40']) == 0")
-    assert {"numpy", "bell_lab.randi"} <= loaded
-    assert not loaded & {"bell_lab.stats", "bell_lab.bellgame",
-                         "bell_lab.claims", "scipy.stats"}
+@pytest.mark.parametrize("argv, needs, skips", [
+    (["qrc-gill", "--runs", "2", "--rows", "40"], {"numpy", "bell_lab.randi"},
+     {"bell_lab.stats", "bell_lab.bellgame", "bell_lab.claims", "scipy.stats"}),
+    (["breakdown", "--run-len", "100"], {"numpy", "bell_lab.stats"},
+     {"bell_lab.estimators", "bell_lab.sources", "bell_lab.randi",
+      "bell_lab.bellgame", "bell_lab.claims"}),
+], ids=["qrc-gill", "breakdown"])
+def test_a_command_loads_only_the_modules_it_runs(argv, needs, skips):
+    loaded = loaded_after(f"from bell_lab.cli import main; "
+                          f"assert main({argv!r}) == 0")
+    assert needs <= loaded
+    assert not loaded & skips
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,7 @@ EVENT_FILES = {  # the same two events, in each form the reader accepts
     "bom": "\ufeffwindow_index,setting_label,outcome\r\n5,1,-1\r\n6,0,1\r\n",
     "repeated-extra-column": ("window_index,x,setting_label,x,outcome\n"
                               "5,,1,,-1\n6,,0,,1\n"),
+    "padded": "window_index,setting_label,outcome\n 5 , 1 ,-1\n6, 0 , 1 \n",
 }
 
 

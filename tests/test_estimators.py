@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bell_lab.core import CountTable, RngStream, Trials, tabulate
+from bell_lab.core import CountTable, RngStream, Trials, plain, tabulate
 from bell_lab.estimators import (ChshEstimate, CounterSet, EberhardCounts,
                                  bell_counter_test, chsh, chsh_from_counters,
                                  correlation, eberhard_counterfactual,
-                                 eberhard_counts, eberhard_j, plain,
-                                 vongher_counters)
+                                 eberhard_counts, eberhard_j, vongher_counters)
 from bell_lab.sources import SETTINGS_A, SETTINGS_B, singlet_pairs
 
 SQRT2 = math.sqrt(2.0)

@@ -6,10 +6,9 @@ from hypothesis import given, strategies as st
 from scipy import stats as sps
 
 from bell_lab.core import RngStream
-from bell_lab.stats import (BreakdownReport, DriftingDeviceSpec, bin_means,
-                            breakdown_demo, chebyshev_confidence,
-                            default_breakdown_spec, homogeneity_test,
-                            runs_test, table_homogeneity)
+from bell_lab.stats import (DriftingDeviceSpec, bin_means, breakdown_demo,
+                            chebyshev_confidence, default_breakdown_spec,
+                            homogeneity_test, runs_test, table_homogeneity)
 
 
 # ---------------------------------------------------------------------------
@@ -66,46 +65,47 @@ def test_bin_means_equal_per_slice_means(n, n_bins, seed):
 def test_chi_square_flags_a_switched_law():
     values = np.array([0] * 300 + [1] * 300)
     r = homogeneity_test(values, "chi_square", n_parts=2)
-    assert r.method == "chi_square"
-    assert r.p_value < 1e-12
+    assert r["details"] == {"dof": 1, "parts": 2, "categories": [0, 1]}
+    assert r["p_value"] < 1e-12
 
 
 def test_chi_square_passes_a_steady_law():
     values = np.tile([0, 1], 300)  # identical counts in both halves
     r = homogeneity_test(values, "chi_square")
-    assert r.p_value > 0.9
+    assert r["p_value"] > 0.9
 
 
 def test_table_homogeneity_drops_a_zero_column():
     r = table_homogeneity([[10, 0, 20], [15, 0, 12]], parts=2)
     stat, p_value, dof, _ = sps.chi2_contingency([[10, 20], [15, 12]])
-    assert r.details == {"dof": 1, "parts": 2}
-    assert (r.statistic, r.p_value) == (stat, p_value)
+    assert r == {"statistic": stat, "p_value": p_value,
+                 "details": {"dof": 1, "parts": 2}}
 
 
 def test_chi_square_single_category_is_uninformative():
     r = homogeneity_test(np.zeros(100), "chi_square")
-    assert r.p_value == 1.0
+    assert r["p_value"] == 1.0
 
 
 def test_ks_detects_shift_and_requires_two_parts():
     steady = RngStream(1).generator().normal(size=400)
-    assert homogeneity_test(steady, "ks").p_value > 0.001
+    assert homogeneity_test(steady, "ks")["p_value"] > 0.001
     shifted = np.concatenate([steady[:200], steady[200:] + 3.0])
-    assert homogeneity_test(shifted, "ks").p_value < 1e-12
+    assert homogeneity_test(shifted, "ks")["p_value"] < 1e-12
     with pytest.raises(ValueError):
         homogeneity_test(steady, "ks", n_parts=3)
 
 
 def test_runs_test_patterns():
     clustered = runs_test([0.0] * 50 + [1.0] * 50)
-    assert clustered.p_value < 1e-12  # two runs: far too few
+    assert clustered["p_value"] < 1e-12  # two runs: far too few
+    assert clustered["details"] == {"runs": 2, "n_above": 50, "n_below": 50}
     alternating = runs_test([0, 1] * 50)
-    assert alternating.p_value < 1e-12  # a hundred runs: far too many
+    assert alternating["p_value"] < 1e-12  # a hundred runs: far too many
     steady = runs_test(RngStream(2).generator().normal(size=500))
-    assert steady.p_value > 0.001
+    assert steady["p_value"] > 0.001
     one_sided = runs_test([1.0, 1.0, 1.0, 2.0])
-    assert one_sided.p_value == 1.0
+    assert one_sided["p_value"] == 1.0
 
 
 def test_homogeneity_api():
@@ -121,24 +121,26 @@ def test_device_spec_validation():
         DriftingDeviceSpec((0.0, 1.0), (((0, 10, (1.0,))),))
     with pytest.raises(ValueError):
         DriftingDeviceSpec((0.0, 1.0), ((0, 10, (0.7, 0.7)),))
-    spec = DriftingDeviceSpec((0.0, 1.0), ((0, 4, (0.5, 0.5)),
-                                           (4, 10, (0.1, 0.9))))
-    spec.check_covers(10)
-    with pytest.raises(ValueError):
-        spec.check_covers(12)
-    assert spec.probs_for(3) == (0.5, 0.5)
-    assert spec.probs_for(4) == (0.1, 0.9)
+    spec = DriftingDeviceSpec((0.0, 1.0), ((4, 10, (0.1, 0.9)),
+                                           (0, 4, (0.5, 0.5))))
+    assert spec.run_probs(10).tolist() == [[0.5, 0.5]] * 4 + [[0.1, 0.9]] * 6
+    with pytest.raises(ValueError, match="regimes cover 10 runs, campaign has 12"):
+        spec.run_probs(12)
+    gap = DriftingDeviceSpec((0.0, 1.0), ((0, 4, (0.5, 0.5)),
+                                          (5, 10, (0.1, 0.9))))
+    with pytest.raises(ValueError, match="without gaps"):
+        gap.run_probs(10)
 
 
 def test_default_spec_mirrors_itself():
     spec = default_breakdown_spec()
-    spec.check_covers(100)
-    assert spec.probs_for(0) == tuple(reversed(spec.probs_for(99)))
-    assert len(spec.values) == 6
+    probs = spec.run_probs(100)
+    assert probs.shape == (100, 6)
+    assert probs[:50].tolist() == [probs[99][::-1].tolist()] * 50
     # the two regimes average to a margin of exactly zero
     margins = 1.0 - np.asarray(spec.values)
-    m0 = float(np.dot(spec.probs_for(0), margins))
-    m1 = float(np.dot(spec.probs_for(99), margins))
+    m0 = float(np.dot(probs[0], margins))
+    m1 = float(np.dot(probs[99], margins))
     assert m0 + m1 == pytest.approx(0.0, abs=1e-12)
     assert m0 < -0.5
 
@@ -147,27 +149,27 @@ def test_breakdown_demo_contradiction_pattern():
     spec = DriftingDeviceSpec(default_breakdown_spec().values,
                               ((0, 5, default_breakdown_spec().regimes[0][2]),
                                (5, 10, default_breakdown_spec().regimes[1][2])))
-    report = breakdown_demo(spec, runs=10, run_len=10_000, stream=RngStream(4))
-    assert len(report.per_run) == 10
+    res = breakdown_demo(spec, runs=10, run_len=10_000, stream=RngStream(4))
+    assert (res["runs"], res["run_length"]) == (10, 10_000)
+    assert [r["run"] for r in res["per_run"]] == list(range(10))
     # every run screams, the pool stays quiet, homogeneity explains why;
     # rejection is one-sided, so only the heavy-top regime rejects
-    assert report.n_rejecting() == 5
-    assert all(abs(r.z) > 100 for r in report.per_run)
-    assert abs(report.pooled.z) < 4.0
-    assert report.homogeneity["chi_square"].p_value < 1e-6
-    assert report.homogeneity["ks"].p_value < 0.01
-    assert report.homogeneity["runs"].p_value < 0.01
-    assert sum(report.symbol_counts) == 10 * 10_000
-    d = report.to_dict()
-    assert d["runs"] == 10 and d["n_rejecting_100_sem"] == 5
+    assert res["n_rejecting_100_sem"] == 5
+    assert all(abs(r["z"]) > 100 for r in res["per_run"])
+    assert abs(res["pooled"]["z"]) < 4.0
+    assert res["pooled"]["n"] == 10 * 10_000
+    h = res["homogeneity"]
+    assert h["chi_square"]["p_value"] < 1e-6
+    assert h["ks"]["p_value"] < 0.01
+    assert h["runs"]["p_value"] < 0.01
 
 
 def test_breakdown_demo_validates_coverage():
-    with pytest.raises(ValueError):
-        breakdown_demo(runs=20, run_len=100, stream=RngStream(5))
+    with pytest.raises(ValueError, match="regimes cover 100 runs"):
+        breakdown_demo(default_breakdown_spec(), 20, 100, RngStream(5))
     one_run = DriftingDeviceSpec((0.0, 1.0), ((0, 1, (0.5, 0.5)),))
     with pytest.raises(ValueError, match="runs must be >= 2"):
-        breakdown_demo(one_run, runs=1, run_len=100, stream=RngStream(5))
+        breakdown_demo(one_run, 1, 100, RngStream(5))
 
 
 def test_breakdown_sem_is_the_sample_sem():
@@ -176,24 +178,24 @@ def test_breakdown_sem_is_the_sample_sem():
     spec = DriftingDeviceSpec((0.0, 0.5, 2.0), ((0, 2, (0.2, 0.3, 0.5)),
                                                 (2, 4, (0.6, 0.3, 0.1))))
     stream = RngStream(3)
-    report = breakdown_demo(spec, runs=4, run_len=50, stream=stream)
+    res = breakdown_demo(spec, runs=4, run_len=50, stream=stream)
     margins = 1.0 - np.asarray(spec.values)
-    counts = [stream.child(i).generator().multinomial(50, spec.probs_for(i))
-              for i in range(4)]
-    assert np.sum(counts, axis=0).tolist() == list(report.symbol_counts)
-    for stat, c in zip(report.per_run + (report.pooled,),
-                       counts + [report.symbol_counts]):
+    counts = [stream.child(i).generator().multinomial(50, p)
+              for i, p in enumerate(spec.run_probs(4))]
+    for stat, c in zip(res["per_run"] + [res["pooled"]],
+                       counts + [np.sum(counts, axis=0)]):
         x = np.repeat(margins, c)
-        assert stat.n == x.size
-        assert stat.mean == pytest.approx(np.mean(x), rel=1e-12)
-        assert stat.sem == pytest.approx(
+        assert stat.get("n", res["run_length"]) == x.size
+        assert stat["mean"] == pytest.approx(np.mean(x), rel=1e-12)
+        assert stat["sem"] == pytest.approx(
             np.std(x, ddof=1) / math.sqrt(x.size), rel=1e-12)
+        assert stat["z"] == pytest.approx(stat["mean"] / stat["sem"], rel=1e-12)
 
 
 def test_runs_test_too_short_to_vary():
     # one value on each side of the median always makes two runs
     res = runs_test([0.0, 1.0])
-    assert res.p_value == 1.0 and res.details["note"] == "too few values"
+    assert res["p_value"] == 1.0 and res["details"]["note"] == "too few values"
 
 
 def test_chi_square_needs_two_parts():
