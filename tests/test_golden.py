@@ -81,6 +81,18 @@ GOLDEN = {
         "08448eaebcaae8132825b82c807678dee1a4fac998a6284704a965d3f9d70061",
     "reproduce-bellgame/summary.json":
         "6879c3e92e45f2dce8d4bbf5a45a4be172fd3cd453ab21722f2144c10351c0a6",
+    "correlation/summary.json":
+        "1d49db5b12bb1b4ba13e2ea7ee9db6107e6ce9ba603a260778c3850622bd104a",
+    "covariance/summary.json":
+        "458068dfabfd6762c34739c2cb72bdcf645dc4c836cddf0957cb52bf8f99c37a",
+    "chsh-no-counts/summary.json":
+        "343cd00931454237c34e4f5d1087135da54171069dafad4fa1d3e679050685e8",
+    "counter-chsh/summary.json":
+        "fb3c94a6c6c60afaed8a9f23fee6397629c54e8ab6075d407b37cb5017054128",
+    "bell-counter/summary.json":
+        "f491a9b8e8494375954086e2a1e7e2de35a274c19955aa45664c986d4dd54814",
+    "reproduce-contextual/summary.json":
+        "fd3a27ccdffbf1911b869fa902c91c8b77f61947284a0566c8fb1f8d867fa1d9",
 }
 
 COMMANDS = {
@@ -102,6 +114,14 @@ COMMANDS = {
     "chsh": ["estimate", "--input", "window2/trials.csv", "--stat", "chsh"],
     "eberhard": ["estimate", "--input", "systematic/trials.csv",
                  "--stat", "eberhard"],
+    "correlation": ["estimate", "--input", "systematic/trials.csv",
+                    "--stat", "correlation"],
+    "covariance": ["estimate", "--input", "systematic/trials.csv",
+                   "--stat", "covariance"],
+    "chsh-no-counts": ["estimate", "--input", "systematic/trials.csv",
+                       "--stat", "chsh", "--include-no-counts"],
+    "counter-chsh": ["estimate", "--input", "balls.csv", "--stat", "counter-chsh"],
+    "bell-counter": ["estimate", "--input", "balls.csv", "--stat", "bell-counter"],
     "gill": ["qrc-gill", "--rows", "400", "--runs", "12", "--seed", "5"],
     "vongher": ["qrc-vongher", "--variant", "quantum", "--pairs", "300",
                 "--runs", "12", "--seed", "6"],
@@ -123,6 +143,7 @@ COMMANDS = {
     "reproduce-gill": ["reproduce", "--target", "gill-boundary"],
     "reproduce-breakdown": ["reproduce", "--target", "breakdown"],
     "reproduce-bellgame": ["reproduce", "--target", "bellgame"],
+    "reproduce-contextual": ["reproduce", "--target", "contextual"],
 }
 
 
@@ -154,6 +175,17 @@ def write_event_pair(emissions: int = 400, seed: int = 3) -> None:
                               o[keep].tolist()))
 
 
+def write_ball_trials(source: str = "systematic/trials.csv") -> None:
+    """balls.csv: the source trials with settings 0, 1 relabelled onto the
+    ball protocol's grid, 0, 3 on side A and 0, 2 on side B."""
+    with open(source, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    with open("balls.csv", "w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(header)
+        out.writerows((3 * int(x), 2 * int(y), a, b) for x, y, a, b in rows)
+
+
 @pytest.fixture(scope="module")
 def hashes(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
@@ -162,6 +194,8 @@ def hashes(tmp_path_factory):
         with open("drift.cfg", "w") as fh:
             fh.write(DRIFT_SPEC)
         for label, argv in COMMANDS.items():
+            if "balls.csv" in argv and not Path("balls.csv").exists():
+                write_ball_trials()
             assert main(argv + ["--out", label]) == 0, label
         return {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
                 for name in GOLDEN}
