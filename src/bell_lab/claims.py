@@ -129,12 +129,12 @@ def _spreadsheet(n, stream):
 
 def _gill(dist):
     return lambda n, stream: (randi.gill_campaign(
-        dist, n, RUNS, stream).chsh_violation_rate,)
+        dist, n, RUNS, stream)[0]["chsh_violation_rate"],)
 
 
 def _balls(source, n, stream) -> tuple:
-    rep = randi.vongher_campaign(source, RUNS, n, stream)
-    return rep.bell_violation_rate, rep.chsh_violation_rate
+    results, _ = randi.vongher_campaign(source, RUNS, n, stream)
+    return results["bell_violation_rate"], results["chsh_violation_rate"]
 
 
 def _bellgame(n, stream):
@@ -157,12 +157,12 @@ def _contextual(n, stream):
         counts += tabulate(Trials(np.full(n, x), np.full(n, y), a, b),
                            (0, 1), (0, 1)).counts
     est = estimators.chsh(CountTable((0, 1), (0, 1), counts))
-    return est.s_value, sum(est.sizes) / (4 * n)
+    return est["s_value"], sum(est["sizes"]) / (4 * n)
 
 
 def _chebyshev(n, stream):
-    return (stats.chebyshev_confidence(2.0, 1.0).confidence,
-            stats.chebyshev_confidence(2.0, 2.0 / 44.72135955).confidence)
+    return (stats.chebyshev_confidence(2.0, 1.0),
+            stats.chebyshev_confidence(2.0, 2.0 / 44.72135955))
 
 
 def _breakdown(n, stream):

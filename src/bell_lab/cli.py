@@ -218,23 +218,16 @@ def cmd_estimate(args) -> int:
         except ValueError:
             results = {"covariance": None}
     elif args.stat == "chsh":
-        est = estimators.chsh(table, a_labels, b_labels, coincident_only)
-        results = {"s_value": est.s_value, "terms": est.terms(),
-                   "sizes": list(est.sizes)}
+        results = estimators.chsh(table, a_labels, b_labels, coincident_only)
     elif args.stat == "counter-chsh":
         counters = estimators.vongher_counters(table)
-        cc = estimators.chsh_from_counters(counters)
-        results = {"s_value": cc.s_value, "e_tilde": list(cc.e_tilde),
-                   "n_e": list(counters.n_e), "n_u": list(counters.n_u)}
+        results = {**estimators.chsh_from_counters(counters), **counters}
     elif args.stat == "bell-counter":
         counters = estimators.vongher_counters(table)
-        res = estimators.bell_counter_test(counters)
-        results = {"lhs": res.lhs, "rhs": res.rhs, "violated": res.violated,
-                   "n_e": list(counters.n_e), "n_u": list(counters.n_u)}
+        results = {**estimators.bell_counter_test(counters), **counters}
     else:  # eberhard
         counts = estimators.eberhard_counts(table, a_labels, b_labels)
-        results = {"j_value": estimators.eberhard_j(counts),
-                   "counts": vars(counts)}
+        results = {"j_value": estimators.eberhard_j(counts), "counts": counts}
 
     _emit(args, {"n_trials": len(trials)}, results)
     undefined = None in [results.get(k, 0)
@@ -262,10 +255,11 @@ def _gill_dist(args):
 def cmd_qrc_gill(args) -> int:
     from . import core, randi
     dist = _gill_dist(args)
-    report = randi.gill_campaign(dist, args.rows, args.runs, _stream_of(args))
-    _emit(args, {"runs": args.runs, "rows": args.rows}, report.to_dict(),
+    results, rows = randi.gill_campaign(dist, args.rows, args.runs,
+                                        _stream_of(args))
+    _emit(args, {"runs": args.runs, "rows": args.rows}, results,
           extra_files=(("per_run.csv", lambda p: core.write_rows(
-              p, report.fields, report.rows)),))
+              p, randi.GILL_FIELDS, rows)),))
     return 0
 
 
@@ -282,11 +276,11 @@ def _vongher_source(args):
 
 def cmd_qrc_vongher(args) -> int:
     from . import core, randi
-    report = randi.vongher_campaign(_vongher_source(args), args.runs,
-                                    args.pairs, _stream_of(args))
-    _emit(args, {"runs": args.runs, "pairs": args.pairs}, report.to_dict(),
+    results, rows = randi.vongher_campaign(_vongher_source(args), args.runs,
+                                           args.pairs, _stream_of(args))
+    _emit(args, {"runs": args.runs, "pairs": args.pairs}, results,
           extra_files=(("per_run.csv", lambda p: core.write_rows(
-              p, report.fields, report.rows)),))
+              p, randi.VONGHER_FIELDS, rows)),))
     return 0
 
 

@@ -14,22 +14,23 @@ before learning the settings produce violation statistics run after run?
 A campaign run draws its count table directly, with the same law as
 the per-record samplers (generate_cfd_spreadsheet with gill_subsample,
 vongher_trials), which stay as the oracle.  Run i draws from
-stream.child(i), so a report depends on (seed, stream) alone; the runs'
-tables are then stacked into one CountTable over runs and scored by one
-estimator call.
+stream.child(i), so a campaign depends on (seed, stream) alone; the
+runs' tables are then stacked into one CountTable over runs and scored
+by one estimator call.  A campaign returns the results dict that
+`bell-lab qrc-gill` / `qrc-vongher` write to summary.json, and its
+per_run.csv rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (NO_COUNT, OUTCOMES, CountTable, RngStream, Trials, plain,
                    tabulate)
-from .estimators import (ChshEstimate, bell_counter_test, chsh,
-                         chsh_from_counters, vongher_counters)
+from .estimators import (bell_counter_test, chsh, chsh_from_counters,
+                         vongher_counters)
 from .sources import (ATOMS, SETTINGS_A, SETTINGS_B, BallTable, BallVariant,
                       InstructionDist, Spreadsheet4, generate_tennis_balls,
                       singlet_pairs)
@@ -40,7 +41,7 @@ CHSH_BOUND = 2.0
 VONGHER_ANGLE_UNIT = math.pi / 8
 
 
-def gill_subsample(sheet: Spreadsheet4, rng: np.random.Generator) -> ChshEstimate:
+def gill_subsample(sheet: Spreadsheet4, rng: np.random.Generator) -> dict:
     """Score a spreadsheet by random disjoint subsamples.
 
     Per row, two fair coins choose which A column and which B column get
@@ -71,64 +72,34 @@ def gill_table(dist: InstructionDist, n_rows: int,
     """Count table of one coin-subsample run, with the law of gill_subsample
     on generate_cfd_spreadsheet(n_rows, dist).  Draw order: the count of
     each instruction, then the coin groups of each instruction's rows."""
+    if n_rows < 0:
+        raise ValueError("n_rows must be >= 0")
     per_atom = rng.multinomial(n_rows, dist.probs)
     groups = rng.multinomial(per_atom, [0.25] * 4)
     counts = np.bincount(_GILL_CELL.ravel(), weights=groups.ravel(), minlength=36)
     return CountTable((0, 1), (0, 1), counts.astype(np.int64).reshape(2, 2, 3, 3))
 
 
-# the per_run.csv header of each campaign; a report's rows follow it
+# the per_run.csv header of each campaign; its rows follow it
 GILL_FIELDS = ("run", "s_value", "violated", "n_ab", "n_abp", "n_apb", "n_apbp")
 VONGHER_FIELDS = ("run", "bell_lhs", "bell_rhs", "bell_violated", "s_value",
                   "chsh_violated", "n_e0", "n_e1", "n_e2", "n_e3",
                   "n_u0", "n_u1", "n_u2", "n_u3")
 
 
-@dataclass(frozen=True)
-class CampaignReport:
-    """One row per run under fields, plus the violation counts over runs.
-
-    Violation rates are exact counts over runs.  qrc_bound is set by the
-    coin-subsample campaign: the challenge is won when the violation
-    rate clears 0.5 by three binomial standard errors.
-    """
-
-    fields: tuple
-    rows: tuple
-    chsh_violations: int
-    bell_violations: int | None = None
-    qrc_bound: float | None = None
-
-    @property
-    def runs(self) -> int:
-        return len(self.rows)
-
-    @property
-    def chsh_violation_rate(self) -> float:
-        return self.chsh_violations / self.runs
-
-    @property
-    def bell_violation_rate(self) -> float | None:
-        if self.bell_violations is None:
-            return None
-        return self.bell_violations / self.runs
-
-    @property
-    def qrc_won(self) -> bool | None:
-        if self.qrc_bound is None:
-            return None
-        return self.chsh_violation_rate > self.qrc_bound
-
-    def to_dict(self) -> dict:
-        return {
-            "runs": self.runs,
-            "chsh_violations": self.chsh_violations,
-            "chsh_violation_rate": self.chsh_violation_rate,
-            "bell_violations": self.bell_violations,
-            "bell_violation_rate": self.bell_violation_rate,
-            "qrc_bound": self.qrc_bound,
-            "qrc_won": self.qrc_won,
-        }
+def _summary(runs: int, chsh_violations: int, bell_violations: int | None = None,
+             qrc_bound: float | None = None) -> dict:
+    """A campaign's results: violation counts over runs and their exact
+    rates.  qrc_bound is set by the coin-subsample campaign: the challenge
+    is won when the violation rate clears 0.5 by three binomial standard
+    errors."""
+    rate = chsh_violations / runs
+    return {"runs": runs, "chsh_violations": chsh_violations,
+            "chsh_violation_rate": rate, "bell_violations": bell_violations,
+            "bell_violation_rate": (None if bell_violations is None
+                                    else bell_violations / runs),
+            "qrc_bound": qrc_bound,
+            "qrc_won": None if qrc_bound is None else rate > qrc_bound}
 
 
 def qrc_win_bound(runs: int) -> float:
@@ -137,19 +108,19 @@ def qrc_win_bound(runs: int) -> float:
 
 
 def gill_campaign(dist: InstructionDist, n_rows: int, runs: int,
-                  stream: RngStream) -> CampaignReport:
+                  stream: RngStream) -> tuple:
     """Run i scores the CHSH of gill_table(dist, n_rows) on stream.child(i);
-    all runs are scored at once."""
+    all runs are scored at once.  Returns (results, per_run.csv rows)."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
     est = chsh(CountTable((0, 1), (0, 1), np.stack(
         [gill_table(dist, n_rows, stream.child(i).generator()).counts
          for i in range(runs)])))
-    violated = est.s_value > CHSH_BOUND
-    rows = zip(range(runs), map(plain, est.s_value), violated.astype(int).tolist(),
-               *(n.tolist() for n in est.sizes))
-    return CampaignReport(GILL_FIELDS, tuple(rows), int(violated.sum()),
-                          qrc_bound=qrc_win_bound(runs))
+    violated = est["s_value"] > CHSH_BOUND
+    rows = zip(range(runs), map(plain, est["s_value"]),
+               violated.astype(int).tolist(), *(n.tolist() for n in est["sizes"]))
+    return (_summary(runs, int(violated.sum()), qrc_bound=qrc_win_bound(runs)),
+            list(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -231,28 +202,32 @@ def vongher_cell_probs(source) -> np.ndarray:
 def vongher_table(source, n_pairs: int, rng: np.random.Generator) -> CountTable:
     """Count table of one ball-protocol run: one multinomial draw of
     n_pairs trials from vongher_cell_probs(source), the law of vongher_trials."""
+    if n_pairs < 0:
+        raise ValueError("n_pairs must be >= 0")
     probs = vongher_cell_probs(source)
     return CountTable(SETTINGS_A, SETTINGS_B,
                       rng.multinomial(n_pairs, probs.ravel()).reshape(probs.shape))
 
 
-def vongher_campaign(source, runs: int, n_pairs: int,
-                     stream: RngStream) -> CampaignReport:
+def vongher_campaign(source, runs: int, n_pairs: int, stream: RngStream) -> tuple:
     """Run i scores the counters of vongher_table(source, n_pairs) on
-    stream.child(i) by both verdicts; all runs are scored at once."""
+    stream.child(i) by both verdicts; all runs are scored at once.
+    Returns (results, per_run.csv rows)."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    if n_pairs < 0:
+        raise ValueError("n_pairs must be >= 0")
     probs = vongher_cell_probs(source).ravel()
     counts = np.stack([stream.child(i).generator().multinomial(n_pairs, probs)
                        for i in range(runs)])
     counters = vongher_counters(CountTable(SETTINGS_A, SETTINGS_B,
                                            counts.reshape(runs, 2, 2, 3, 3)))
     bell = bell_counter_test(counters)
-    s = chsh_from_counters(counters).s_value
+    s = chsh_from_counters(counters)["s_value"]
     violated = s > CHSH_BOUND
-    rows = zip(range(runs), bell.lhs.tolist(), bell.rhs.tolist(),
-               bell.violated.astype(int).tolist(), map(plain, s),
+    rows = zip(range(runs), bell["lhs"].tolist(), bell["rhs"].tolist(),
+               bell["violated"].astype(int).tolist(), map(plain, s),
                violated.astype(int).tolist(),
-               *(n.tolist() for n in counters.n_e + counters.n_u))
-    return CampaignReport(VONGHER_FIELDS, tuple(rows), int(violated.sum()),
-                          bell_violations=int(bell.violated.sum()))
+               *(n.tolist() for n in counters["n_e"] + counters["n_u"]))
+    return (_summary(runs, int(violated.sum()), int(bell["violated"].sum())),
+            list(rows))

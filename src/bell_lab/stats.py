@@ -19,33 +19,22 @@ import numpy as np
 from .core import RngStream, plain
 
 
-@dataclass(frozen=True)
-class ChebyshevResult:
+def chebyshev_confidence(mean: float, sem_value: float) -> float:
     """Distribution-free confidence that the mean differs from zero.
 
-    k is the distance in standard errors; confidence = 1 - 1/k^2 floored
-    at zero.  certain flags the degenerate sem = 0 case, where the data
-    admit no spread at all.
+    With k = |mean| / sem the distance in standard errors, the confidence
+    is 1 - 1/k^2 floored at zero.  sem = 0 admits no spread at all: the
+    confidence is then 1, or 0 for a zero mean.
     """
-
-    k: float
-    confidence: float
-    certain: bool
-
-
-def chebyshev_confidence(mean: float, sem_value: float) -> ChebyshevResult:
     if sem_value < 0:
         raise ValueError("sem must be >= 0")
     dist = abs(mean)
     if sem_value == 0.0:
-        if dist == 0.0:
-            return ChebyshevResult(0.0, 0.0, False)
-        return ChebyshevResult(math.inf, 1.0, True)
+        return 1.0 if dist else 0.0
     k = dist / sem_value
     # below one sem the bound is vacuous; guarding also avoids k**2
     # underflow for subnormal distances
-    conf = 0.0 if k <= 1.0 else 1.0 - 1.0 / (k * k)
-    return ChebyshevResult(k, conf, False)
+    return 0.0 if k <= 1.0 else 1.0 - 1.0 / (k * k)
 
 
 # ---------------------------------------------------------------------------

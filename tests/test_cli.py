@@ -549,6 +549,14 @@ def test_out_of_domain_parameters_exit_2(capsys, argv):
     assert_one_line_error(capsys, argv)
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (["qrc-gill", "--rows", "-1", "--runs", "2"], "n_rows must be >= 0"),
+    (["qrc-vongher", "--pairs", "-5", "--runs", "2"], "n_pairs must be >= 0"),
+], ids=["qrc-gill", "qrc-vongher"])
+def test_a_negative_campaign_size_is_named(capsys, argv, needle):
+    assert_one_line_error(capsys, argv, needle)
+
+
 @pytest.mark.parametrize("width", ["nan", "inf", "-inf"])
 def test_pair_rejects_non_finite_window(capsys, tmp_path, width):
     events = tmp_path / "events.csv"

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bell_lab.core import CountTable, RngStream, Trials, plain, tabulate
-from bell_lab.estimators import (ChshEstimate, CounterSet, EberhardCounts,
-                                 bell_counter_test, chsh, chsh_from_counters,
-                                 correlation, eberhard_counterfactual,
-                                 eberhard_counts, eberhard_j, vongher_counters)
+from bell_lab.estimators import (CHSH_TERMS, EBERHARD_COUNTS, bell_counter_test,
+                                 chsh, chsh_from_counters, correlation,
+                                 eberhard_counterfactual, eberhard_counts,
+                                 eberhard_j, vongher_counters)
 from bell_lab.sources import SETTINGS_A, SETTINGS_B, singlet_pairs
 
 SQRT2 = math.sqrt(2.0)
@@ -63,23 +63,24 @@ def test_chsh_groups_and_value():
               + rows_at(0, 1, [(1, 1)] * 3)
               + rows_at(1, 0, [(-1, -1)] * 2)
               + rows_at(1, 1, [(1, -1)] * 2))
-    est = chsh(table_of(trials))
-    assert est.sizes == (4, 3, 2, 2)
-    assert est.terms() == {"ab": 1.0, "abp": 1.0, "apb": 1.0, "apbp": -1.0}
-    assert est.s_value == 4.0  # measured groups are free of the bound
+    assert chsh(table_of(trials)) == {
+        "s_value": 4.0,  # measured groups are free of the bound
+        "terms": {"ab": 1.0, "abp": 1.0, "apb": 1.0, "apbp": -1.0},
+        "sizes": [4, 3, 2, 2]}
 
 
 def test_chsh_undefined_when_a_group_is_empty():
     est = chsh(table_of(rows_at(0, 0, [(1, 1), (-1, -1)])))
-    assert est.n_apbp == 0
-    assert est.s_value is None
+    assert est["sizes"] == [2, 0, 0, 0]
+    assert est["terms"] == {"ab": 1.0, "abp": None, "apb": None, "apbp": None}
+    assert est["s_value"] is None
 
 
 def test_chsh_respects_custom_labels():
     trials = (rows_at(0, 0, [(1, -1)] * 2) + rows_at(0, 2, [(1, -1)] * 2)
               + rows_at(3, 0, [(1, -1)] * 2) + rows_at(3, 2, [(1, 1)] * 2))
     est = chsh(table_of(trials), a_labels=(0, 3), b_labels=(0, 2))
-    assert est.s_value == pytest.approx(-4.0)
+    assert est["s_value"] == pytest.approx(-4.0)
 
 
 def test_chsh_and_j_reject_a_repeated_setting_label():
@@ -98,8 +99,7 @@ def test_chsh_and_j_reject_a_repeated_setting_label():
 def test_chsh_no_counts_shrink_groups():
     trials = (rows_at(0, 0, [(1, 1), (0, 1)]) + rows_at(0, 1, [(1, 1)])
               + rows_at(1, 0, [(1, 1)]) + rows_at(1, 1, [(1, 1)]))
-    est = chsh(table_of(trials))
-    assert est.n_ab == 1
+    assert chsh(table_of(trials))["sizes"] == [1, 1, 1, 1]
 
 
 def test_chsh_singlet_reaches_two_sqrt_two():
@@ -121,20 +121,11 @@ def test_chsh_singlet_reaches_two_sqrt_two():
         bv.append(b)
     est = chsh(tabulate(Trials(np.concatenate(sa), np.concatenate(sb),
                                np.concatenate(av), np.concatenate(bv))))
-    assert abs(est.s_value) == pytest.approx(2 * SQRT2, abs=8 / math.sqrt(n))
+    assert abs(est["s_value"]) == pytest.approx(2 * SQRT2, abs=8 / math.sqrt(n))
 
 
 # ---------------------------------------------------------------------------
 # equal/unequal counters
-
-def test_counter_set_validation():
-    cs = CounterSet((1, 2, 3, 4), (0, 0, 0, 0))
-    assert cs.totals() == (1, 2, 3, 4)
-    with pytest.raises(ValueError):
-        CounterSet((1, 2, 3), (0, 0, 0))
-    with pytest.raises(ValueError):
-        CounterSet((1, 2, 3, -1), (0, 0, 0, 0))
-
 
 def test_vongher_counters_by_distance():
     trials = (
@@ -144,9 +135,8 @@ def test_vongher_counters_by_distance():
         + rows_at(3, 0, [(-1, -1)])             # d = 3
         + rows_at(0, 0, [(0, 1), (1, 0)])       # no-counts touch nothing
     )
-    cs = vongher_counters(table_of(trials))
-    assert cs.n_e == (1, 0, 3, 1)
-    assert cs.n_u == (1, 2, 0, 0)
+    assert vongher_counters(table_of(trials)) == {"n_e": [1, 0, 3, 1],
+                                                  "n_u": [1, 2, 0, 0]}
 
 
 def test_vongher_counters_reject_foreign_settings():
@@ -157,34 +147,28 @@ def test_vongher_counters_reject_foreign_settings():
 
 
 def test_bell_counter_test_sides():
-    cs = CounterSet((0, 0, 4, 0), (0, 7, 0, 2))
-    res = bell_counter_test(cs)
-    assert (res.lhs, res.rhs) == (7, 6)
-    assert res.violated
-    assert not bell_counter_test(CounterSet((0, 0, 4, 0), (0, 6, 0, 2))).violated
+    res = bell_counter_test({"n_e": [0, 0, 4, 0], "n_u": [0, 7, 0, 2]})
+    assert res == {"lhs": 7, "rhs": 6, "violated": True}
+    assert not bell_counter_test({"n_e": [0, 0, 4, 0],
+                                  "n_u": [0, 6, 0, 2]})["violated"]
 
 
 def test_chsh_from_counters_values():
-    cs = CounterSet((0, 5, 0, 10), (10, 5, 10, 0))
-    res = chsh_from_counters(cs)
-    assert res.e_tilde == (1.0, 0.0, 1.0, -1.0)
-    assert res.s_value == 3.0
+    res = chsh_from_counters({"n_e": [0, 5, 0, 10], "n_u": [10, 5, 10, 0]})
+    assert res == {"s_value": 3.0, "e_tilde": [1.0, 0.0, 1.0, -1.0]}
 
 
 def test_chsh_from_counters_undefined_on_empty_distance():
-    res = chsh_from_counters(CounterSet((1, 1, 1, 0), (1, 1, 1, 0)))
-    assert res.s_value is None
-    assert res.e_tilde == (None, None, None, None)
+    res = chsh_from_counters({"n_e": [1, 1, 1, 0], "n_u": [1, 1, 1, 0]})
+    assert res == {"s_value": None, "e_tilde": [None] * 4}
 
 
 # ---------------------------------------------------------------------------
 # six-count J
 
 def test_eberhard_j_arithmetic():
-    counts = EberhardCounts(10, 1, 2, 3, 4, 5)
+    counts = dict(zip(EBERHARD_COUNTS, (10, 1, 2, 3, 4, 5)))
     assert eberhard_j(counts) == 1 + 2 + 3 + 4 + 5 - 10
-    with pytest.raises(ValueError):
-        EberhardCounts(-1, 0, 0, 0, 0, 0)
 
 
 def test_eberhard_counts_from_trials():
@@ -193,8 +177,9 @@ def test_eberhard_counts_from_trials():
               + rows_at(1, 0, [(-1, 1), (0, 1), (1, 1)])
               + rows_at(1, 1, [(1, 1), (1, 1)]))
     c = eberhard_counts(table_of(trials))
-    assert c == EberhardCounts(n_oo_11=1, n_oe_12=1, n_ou_12=1,
-                               n_eo_21=1, n_uo_21=1, n_oo_22=2)
+    assert c == dict(n_oo_11=1, n_oe_12=1, n_ou_12=1,
+                     n_eo_21=1, n_uo_21=1, n_oo_22=2)
+    assert tuple(c) == EBERHARD_COUNTS
     assert eberhard_j(c) == 5
 
 
@@ -238,14 +223,14 @@ def walk_group(table, coincident_only, pair=None):
 
 
 def walk_counters(table):
-    """(n_e, n_u) by distance |y - x|, or None when a label is off the grid."""
+    """{"n_e", "n_u"} by distance |y - x|, or None when a label is off the grid."""
     n_e, n_u = [0] * 4, [0] * 4
     for (x, y, a, b), count in table.items():
         if x not in SETTINGS_A or y not in SETTINGS_B:
             return None
         if a * b:
             (n_e if a == b else n_u)[abs(y - x)] += count
-    return tuple(n_e), tuple(n_u)
+    return {"n_e": n_e, "n_u": n_u}
 
 
 def walk_eberhard(table, a_labels, b_labels):
@@ -282,10 +267,10 @@ def test_estimators_match_a_dict_walk(rows, a_labels, b_labels, coincident_only)
     groups = [walk_group(cells, coincident_only, (x, y))
               for x in a_labels for y in b_labels]
     e = [v for v, _ in groups]
-    assert list(est.terms().values()) == e
-    assert est.sizes == tuple(n for _, n in groups)
-    assert all(type(n) is int for n in est.sizes)
-    assert est.s_value == (None if None in e else e[0] + e[1] + e[2] - e[3])
+    assert est == {"s_value": None if None in e else e[0] + e[1] + e[2] - e[3],
+                   "terms": dict(zip(CHSH_TERMS, e)),
+                   "sizes": [n for _, n in groups]}
+    assert all(type(n) is int for n in est["sizes"])
 
     counters = walk_counters(cells)
     if counters is None:
@@ -293,21 +278,22 @@ def test_estimators_match_a_dict_walk(rows, a_labels, b_labels, coincident_only)
             vongher_counters(table)
     else:
         got = vongher_counters(table)
-        assert (got.n_e, got.n_u) == counters
-        totals = [e + u for e, u in zip(*counters)]
-        e_tilde = ([(u - e) / t for e, u, t in zip(*counters, totals)]
+        assert got == counters
+        pairs = list(zip(counters["n_e"], counters["n_u"]))
+        totals = [e + u for e, u in pairs]
+        e_tilde = ([(u - e) / t for (e, u), t in zip(pairs, totals)]
                    if all(totals) else [None] * 4)
-        cc = chsh_from_counters(got)
-        assert cc.e_tilde == tuple(e_tilde)
-        assert cc.s_value == (e_tilde[0] + e_tilde[1] + e_tilde[2] - e_tilde[3]
-                              if all(totals) else None)
+        assert chsh_from_counters(got) == {
+            "s_value": (e_tilde[0] + e_tilde[1] + e_tilde[2] - e_tilde[3]
+                        if all(totals) else None),
+            "e_tilde": e_tilde}
     counts = walk_eberhard(cells, a_labels, b_labels)
     if counts is None:
         with pytest.raises(ValueError, match="settings must be in"):
             eberhard_counts(table, a_labels, b_labels)
     else:
         got = eberhard_counts(table, a_labels, b_labels)
-        assert tuple(vars(got).values()) == counts
+        assert got == dict(zip(EBERHARD_COUNTS, counts))
 
 
 def values_of(table, coincident_only) -> tuple:
@@ -316,11 +302,12 @@ def values_of(table, coincident_only) -> tuple:
     labels = dict(a_labels=SETTINGS_A, b_labels=SETTINGS_B)
     est = chsh(table, coincident_only=coincident_only, **labels)
     counters = vongher_counters(table)
-    bell = bell_counter_test(counters)
     cc = chsh_from_counters(counters)
-    return (correlation(table, coincident_only), *vars(est).values(), est.s_value,
-            *counters.n_e, *counters.n_u, bell.lhs, bell.rhs, bell.violated,
-            *cc.e_tilde, cc.s_value, *vars(eberhard_counts(table, **labels)).values())
+    return (correlation(table, coincident_only), est["s_value"],
+            *est["terms"].values(), *est["sizes"], *counters["n_e"],
+            *counters["n_u"], *bell_counter_test(counters).values(),
+            cc["s_value"], *cc["e_tilde"],
+            *eberhard_counts(table, **labels).values())
 
 
 @given(st.lists(st.lists(st.tuples(st.sampled_from(SETTINGS_A),

@@ -7,7 +7,7 @@ import pytest
 from bell_lab.core import OUTCOMES, RngStream, tabulate
 from bell_lab.estimators import (bell_counter_test, chsh, chsh_from_counters,
                                  vongher_counters)
-from bell_lab.randi import (CHSH_BOUND, CampaignReport, GILL_FIELDS,
+from bell_lab.randi import (CHSH_BOUND, GILL_FIELDS,
                             VONGHER_ANGLE_UNIT, VONGHER_FIELDS, draw_vongher_settings,
                             gill_campaign, gill_subsample, gill_table,
                             measure_balls, QUANTUM_SOURCE, qrc_win_bound,
@@ -29,7 +29,7 @@ def rng(seed=0):
 def test_subsample_groups_are_disjoint_and_exhaustive():
     sheet = generate_cfd_spreadsheet(500, InstructionDist.uniform(), rng(1))
     est = gill_subsample(sheet, rng(2))
-    assert sum(est.sizes) == 500
+    assert sum(est["sizes"]) == 500
 
 
 def test_subsample_point_mass_all_plus():
@@ -38,13 +38,13 @@ def test_subsample_point_mass_all_plus():
     sheet = generate_cfd_spreadsheet(
         200, InstructionDist.point_mass((1, 1, 1, 1)), rng(3))
     est = gill_subsample(sheet, rng(4))
-    assert est.s_value == CHSH_BOUND
+    assert est["s_value"] == CHSH_BOUND
 
 
 def test_subsample_deterministic():
     sheet = generate_cfd_spreadsheet(300, InstructionDist.uniform(), rng(5))
-    s1 = gill_subsample(sheet, rng(6)).s_value
-    s2 = gill_subsample(sheet, rng(6)).s_value
+    s1 = gill_subsample(sheet, rng(6))["s_value"]
+    s2 = gill_subsample(sheet, rng(6))["s_value"]
     assert s1 == s2
 
 
@@ -53,17 +53,21 @@ def test_qrc_win_bound_value():
     assert qrc_win_bound(4) == pytest.approx(1.25)  # unreachable by design
 
 
+SUMMARY_KEYS = ["runs", "chsh_violations", "chsh_violation_rate",
+                "bell_violations", "bell_violation_rate", "qrc_bound", "qrc_won"]
+
+
 def test_gill_campaign_report_shape():
-    rep = gill_campaign(InstructionDist.uniform(), n_rows=400, runs=40,
-                        stream=RngStream(7))
-    assert rep.runs == 40
-    assert rep.fields == GILL_FIELDS
-    assert len(rep.rows) == 40
-    assert all(len(row) == len(GILL_FIELDS) for row in rep.rows)
-    assert rep.qrc_bound == pytest.approx(qrc_win_bound(40))
-    assert isinstance(rep.qrc_won, bool)
-    d = rep.to_dict()
-    assert d["runs"] == 40 and "per_run" not in d
+    results, rows = gill_campaign(InstructionDist.uniform(), n_rows=400,
+                                  runs=40, stream=RngStream(7))
+    assert list(results) == SUMMARY_KEYS
+    assert results["runs"] == 40
+    assert len(rows) == 40
+    assert all(len(row) == len(GILL_FIELDS) for row in rows)
+    assert results["chsh_violation_rate"] == results["chsh_violations"] / 40
+    assert results["qrc_bound"] == pytest.approx(qrc_win_bound(40))
+    assert results["qrc_won"] is (results["chsh_violation_rate"]
+                                  > results["qrc_bound"])
 
 
 def test_gill_campaign_rows_score_their_tables():
@@ -71,20 +75,36 @@ def test_gill_campaign_rows_score_their_tables():
     # draw order of the campaign
     dist = InstructionDist.uniform()
     stream = RngStream(8)
-    rep = gill_campaign(dist, n_rows=300, runs=6, stream=stream)
-    for i, row in enumerate(rep.rows):
+    results, rows = gill_campaign(dist, n_rows=300, runs=6, stream=stream)
+    for i, row in enumerate(rows):
         est = chsh(gill_table(dist, 300, stream.child(i).generator()))
-        violated = est.s_value is not None and est.s_value > CHSH_BOUND
-        assert row == (i, est.s_value, int(violated), *est.sizes)
-    assert rep.chsh_violations == sum(row[2] for row in rep.rows)
+        s = est["s_value"]
+        violated = s is not None and s > CHSH_BOUND
+        assert row == (i, s, int(violated), *est["sizes"])
+    assert results["chsh_violations"] == sum(row[2] for row in rows)
 
 
 def test_campaign_report_optional_fields():
-    rep = CampaignReport(("run",), tuple((i,) for i in range(10)),
-                         chsh_violations=5)
-    assert rep.chsh_violation_rate == 0.5
-    assert rep.bell_violation_rate is None
-    assert rep.qrc_won is None
+    # the coin campaign gives no Bell verdict, the ball campaign no win bound
+    gill, _ = gill_campaign(InstructionDist.uniform(), n_rows=100, runs=10,
+                            stream=RngStream(9))
+    assert gill["bell_violations"] is None
+    assert gill["bell_violation_rate"] is None
+    balls, _ = vongher_campaign(strict(), runs=10, n_pairs=100,
+                                stream=RngStream(9))
+    assert list(balls) == SUMMARY_KEYS
+    assert balls["bell_violation_rate"] == balls["bell_violations"] / 10
+    assert balls["qrc_bound"] is None
+    assert balls["qrc_won"] is None
+
+
+def test_a_negative_run_size_is_refused():
+    with pytest.raises(ValueError, match="n_rows must be >= 0"):
+        gill_table(InstructionDist.uniform(), -1, rng())
+    with pytest.raises(ValueError, match="n_pairs must be >= 0"):
+        vongher_table(strict(), -1, rng())
+    with pytest.raises(ValueError, match="n_pairs must be >= 0"):
+        vongher_campaign(strict(), 1, -1, RngStream(0))
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +148,9 @@ def test_quantum_outcomes_follow_protocol_angles():
 
 def test_strict_run_never_equal_at_d0():
     counters = vongher_counters(vongher_table(strict(), 2000, rng(12)))
-    assert counters.n_e[0] == 0
-    assert counters.n_u[0] > 0
-    assert sum(counters.totals()) == 2000
+    assert counters["n_e"][0] == 0
+    assert counters["n_u"][0] > 0
+    assert sum(counters["n_e"] + counters["n_u"]) == 2000
 
 
 def test_quantum_run_counters_near_expectations():
@@ -139,14 +159,14 @@ def test_quantum_run_counters_near_expectations():
     n = 20_000
     counters = vongher_counters(vongher_table(QUANTUM_SOURCE, n, rng(13)))
     per_d = n / 4
-    for d, (ne, nu) in enumerate(zip(counters.n_e, counters.n_u)):
+    for d, (ne, nu) in enumerate(zip(counters["n_e"], counters["n_u"])):
         p_u = math.cos(d * math.pi / 16) ** 2
         assert abs(nu - per_d * p_u) < 5 * math.sqrt(per_d)
         assert abs(ne - per_d * (1 - p_u)) < 5 * math.sqrt(per_d)
-    assert bell_counter_test(counters).violated
+    assert bell_counter_test(counters)["violated"]
     # counter CHSH concentrates on 1 + cos(pi/8) + cos(pi/4) - cos(3pi/8)
     want = 1 + math.cos(math.pi / 8) + math.cos(math.pi / 4) - math.cos(3 * math.pi / 8)
-    s = chsh_from_counters(counters).s_value
+    s = chsh_from_counters(counters)["s_value"]
     assert s == pytest.approx(want, abs=0.1)
     assert s > CHSH_BOUND
 
@@ -163,38 +183,40 @@ def test_vongher_run_scores_its_table():
     # both verdicts on them: this pins the draw order of the campaign
     stream = RngStream(15)
     for source in (QUANTUM_SOURCE, missing_pairs(0.1)):
-        rep = vongher_campaign(source, runs=8, n_pairs=500, stream=stream)
-        assert rep.fields == VONGHER_FIELDS and rep.runs == 8
-        for i, row in enumerate(rep.rows):
+        results, rows = vongher_campaign(source, runs=8, n_pairs=500,
+                                         stream=stream)
+        assert results["runs"] == len(rows) == 8
+        for i, row in enumerate(rows):
             table = vongher_table(source, 500, stream.child(i).generator())
             assert table.counts.sum() == 500
             counters = vongher_counters(table)
             bell = bell_counter_test(counters)
-            s = chsh_from_counters(counters).s_value
+            s = chsh_from_counters(counters)["s_value"]
             violated = s is not None and s > CHSH_BOUND
-            assert row == (i, bell.lhs, bell.rhs, int(bell.violated), s,
-                           int(violated), *counters.n_e, *counters.n_u)
-        assert rep.chsh_violations == sum(row[5] for row in rep.rows)
-        assert rep.bell_violations == sum(row[3] for row in rep.rows)
+            assert len(row) == len(VONGHER_FIELDS)
+            assert row == (i, bell["lhs"], bell["rhs"], int(bell["violated"]), s,
+                           int(violated), *counters["n_e"], *counters["n_u"])
+        assert results["chsh_violations"] == sum(row[5] for row in rows)
+        assert results["bell_violations"] == sum(row[3] for row in rows)
 
 
 def test_strict_campaign_never_violates():
-    rep = vongher_campaign(strict(), runs=30, n_pairs=400, stream=RngStream(16))
-    assert rep.bell_violations == 0
-    assert rep.chsh_violations == 0
-    assert rep.qrc_bound is None
+    results, _ = vongher_campaign(strict(), runs=30, n_pairs=400,
+                                  stream=RngStream(16))
+    assert results["bell_violations"] == 0
+    assert results["chsh_violations"] == 0
 
 
 def test_boundary_campaign_hovers_near_half():
-    rep = vongher_campaign(missing_pairs(0.1), runs=60, n_pairs=800,
-                           stream=RngStream(17))
-    assert 0.2 < rep.bell_violation_rate < 0.8
+    results, _ = vongher_campaign(missing_pairs(0.1), runs=60, n_pairs=800,
+                                  stream=RngStream(17))
+    assert 0.2 < results["bell_violation_rate"] < 0.8
 
 
 def test_partial_anticorr_campaign_violates_often():
-    rep = vongher_campaign(partial_anticorr(0.87), runs=60, n_pairs=800,
-                           stream=RngStream(18))
-    assert rep.bell_violation_rate > 0.7
+    results, _ = vongher_campaign(partial_anticorr(0.87), runs=60, n_pairs=800,
+                                  stream=RngStream(18))
+    assert results["bell_violation_rate"] > 0.7
 
 
 def test_partial_anticorr_disagreement_rate():
@@ -269,10 +291,9 @@ def assert_means_agree(drawn, oracle):
 
 def group_counts(est):
     """Equal and unequal counts per setting group of an all-coincident
-    ChshEstimate: n (1 + e) / 2 and n (1 - e) / 2."""
+    chsh estimate: n (1 + e) / 2 and n (1 - e) / 2."""
     return [round(n * (1 + s * e) / 2) for e, n in
-            zip((est.e_ab, est.e_abp, est.e_apb, est.e_apbp), est.sizes)
-            for s in (1, -1)]
+            zip(est["terms"].values(), est["sizes"]) for s in (1, -1)]
 
 
 def test_gill_tables_match_per_record_oracle():
