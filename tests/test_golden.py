@@ -93,6 +93,8 @@ GOLDEN = {
         "f491a9b8e8494375954086e2a1e7e2de35a274c19955aa45664c986d4dd54814",
     "reproduce-contextual/summary.json":
         "fd3a27ccdffbf1911b869fa902c91c8b77f61947284a0566c8fb1f8d867fa1d9",
+    "reproduce-spreadsheet/summary.json":
+        "5b367826bf31326a4598b26d03134221944df704232cb13d3f643f1fcf72db53",
 }
 
 COMMANDS = {
@@ -144,6 +146,7 @@ COMMANDS = {
     "reproduce-breakdown": ["reproduce", "--target", "breakdown"],
     "reproduce-bellgame": ["reproduce", "--target", "bellgame"],
     "reproduce-contextual": ["reproduce", "--target", "contextual"],
+    "reproduce-spreadsheet": ["reproduce", "--target", "spreadsheet"],
 }
 
 
