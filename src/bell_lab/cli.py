@@ -202,12 +202,28 @@ def cmd_pair(args) -> int:
 # ---------------------------------------------------------------------------
 # estimate
 
+# the flags each statistic never reads: counter-chsh and bell-counter use
+# the ball grid and coincident pairs, eberhard counts every trial
+IGNORED_FLAGS = {
+    "correlation": ("--a-labels", "--b-labels"),
+    "covariance": ("--a-labels", "--b-labels"),
+    "counter-chsh": ("--a-labels", "--b-labels", "--include-no-counts"),
+    "bell-counter": ("--a-labels", "--b-labels", "--include-no-counts"),
+    "eberhard": ("--include-no-counts",),
+}
+
+
 def cmd_estimate(args) -> int:
     from . import core, estimators, pairing
-    trials = _read(core.read_trials, args.input, "trials")
-    coincident_only = not args.include_no_counts
     a_labels = _parse_two(args.a_labels, int, "--a-labels")
     b_labels = _parse_two(args.b_labels, int, "--b-labels")
+    changed = {"--a-labels": a_labels != (0, 1), "--b-labels": b_labels != (0, 1),
+               "--include-no-counts": args.include_no_counts}
+    for flag in IGNORED_FLAGS.get(args.stat, ()):
+        if changed[flag]:
+            raise ValueError(f"{flag} has no effect on --stat {args.stat}")
+    trials = _read(core.read_trials, args.input, "trials")
+    coincident_only = not args.include_no_counts
     table = core.tabulate(trials)
 
     if args.stat == "correlation":

@@ -141,6 +141,12 @@ class RngStream:
     def child(self, index: int) -> "RngStream":
         return RngStream(self.seed, self.stream + (int(index),))
 
+    def child_generators(self, count: int) -> Iterator[np.random.Generator]:
+        """child(i).generator() for i in range(count), made one at a time
+        from a single spawn: numpy keys spawned child i as stream + (i,)."""
+        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self.stream)
+        return map(np.random.default_rng, seq.spawn(count))
+
 
 # position in OUTCOMES of outcome v, looked up at index v + 1
 _SLOT = np.array([OUTCOMES.index(v) for v in (-1, 0, 1)])
@@ -182,13 +188,17 @@ def tabulate(trials: Trials,
     sa, sb = trials.setting_a, trials.setting_b
     grid_a = np.unique(sa if settings_a is None else np.array(settings_a, np.int64))
     grid_b = np.unique(sb if settings_b is None else np.array(settings_b, np.int64))
-    inside = np.isin(sa, grid_a) & np.isin(sb, grid_b)
+    pos_a, pos_b = np.searchsorted(grid_a, sa), np.searchsorted(grid_b, sb)
+    # a label is on its grid when the grid holds it at its sorted position
+    inside = ((grid_a.take(pos_a, mode="clip") == sa)
+              & (grid_b.take(pos_b, mode="clip") == sb)
+              if grid_a.size and grid_b.size else np.zeros(len(sa), bool))
     if not inside.all():
         k = int(np.argmin(inside))
         raise ValueError(f"trial setting pair {(int(sa[k]), int(sb[k]))} "
                          "outside the declared grid")
-    cell = ((np.searchsorted(grid_a, sa) * len(grid_b) + np.searchsorted(grid_b, sb))
-            * 3 + _SLOT[trials.a + 1]) * 3 + _SLOT[trials.b + 1]
+    cell = (((pos_a * len(grid_b) + pos_b) * 3 + _SLOT[trials.a + 1]) * 3
+            + _SLOT[trials.b + 1])
     counts = np.bincount(cell, minlength=9 * len(grid_a) * len(grid_b))
     return CountTable(tuple(grid_a.tolist()), tuple(grid_b.tolist()),
                       counts.reshape(len(grid_a), len(grid_b), 3, 3))

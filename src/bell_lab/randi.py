@@ -14,11 +14,11 @@ before learning the settings produce violation statistics run after run?
 A campaign run draws its count table directly, with the same law as
 the per-record samplers (generate_cfd_spreadsheet with gill_subsample,
 vongher_trials), which stay as the oracle.  Run i draws from
-stream.child(i), so a campaign depends on (seed, stream) alone; the
-runs' tables are then stacked into one CountTable over runs and scored
-by one estimator call.  A campaign returns the results dict that
-`bell-lab qrc-gill` / `qrc-vongher` write to summary.json, and its
-per_run.csv rows.
+stream.child(i), spawned once per campaign, so a campaign depends on
+(seed, stream) alone; the runs' tables are then stacked into one
+CountTable over runs and scored by one estimator call.  A campaign
+returns the results dict that `bell-lab qrc-gill` / `qrc-vongher` write
+to summary.json, and its per_run.csv rows.
 """
 
 from __future__ import annotations
@@ -114,8 +114,8 @@ def gill_campaign(dist: InstructionDist, n_rows: int, runs: int,
     if runs < 1:
         raise ValueError("runs must be >= 1")
     est = chsh(CountTable((0, 1), (0, 1), np.stack(
-        [gill_table(dist, n_rows, stream.child(i).generator()).counts
-         for i in range(runs)])))
+        [gill_table(dist, n_rows, rng).counts
+         for rng in stream.child_generators(runs)])))
     violated = est["s_value"] > CHSH_BOUND
     rows = zip(range(runs), map(plain, est["s_value"]),
                violated.astype(int).tolist(), *(n.tolist() for n in est["sizes"]))
@@ -218,8 +218,8 @@ def vongher_campaign(source, runs: int, n_pairs: int, stream: RngStream) -> tupl
     if n_pairs < 0:
         raise ValueError("n_pairs must be >= 0")
     probs = vongher_cell_probs(source).ravel()
-    counts = np.stack([stream.child(i).generator().multinomial(n_pairs, probs)
-                       for i in range(runs)])
+    counts = np.stack([rng.multinomial(n_pairs, probs)
+                       for rng in stream.child_generators(runs)])
     counters = vongher_counters(CountTable(SETTINGS_A, SETTINGS_B,
                                            counts.reshape(runs, 2, 2, 3, 3)))
     bell = bell_counter_test(counters)

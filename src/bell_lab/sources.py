@@ -195,6 +195,18 @@ def generate_cfd_spreadsheet(n_rows: int, dist: InstructionDist,
     return Spreadsheet4(atoms[idx])
 
 
+def cfd_sheet_sums(n_rows: int, dist: InstructionDist, sheets: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """row_combinations().sum() of `sheets` draws of
+    generate_cfd_spreadsheet(n_rows, dist), with the same law: a sheet's
+    sum depends only on how many rows hold each instruction, so each
+    sheet is drawn as those counts, one multinomial for all sheets."""
+    if n_rows < 0:
+        raise ValueError("n_rows must be >= 0")
+    per_atom = rng.multinomial(n_rows, dist.probs, size=sheets)
+    return per_atom @ row_combination(*np.array(ATOMS).T)
+
+
 # ---------------------------------------------------------------------------
 # tennis-ball instruction sets
 

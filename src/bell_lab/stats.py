@@ -228,16 +228,17 @@ def breakdown_demo(spec: DriftingDeviceSpec, runs: int, run_len: int,
     homogeneity battery explains why: the series is not one experiment.
     The tested margin is x = 1 - value and the null says its mean is
     >= 0; a run rejects when z drops below -REJECT_SEM.  Run i draws its
-    symbol counts, one multinomial, from stream.child(i).  Returns the
-    results breakdown writes to summary.json; z is None where SEM = 0.
+    symbol counts, one multinomial, from stream.child(i), spawned once per
+    campaign.  Returns the results breakdown writes to summary.json; z
+    is None where SEM = 0.
     """
     if run_len < 2:
         raise ValueError("run_len must be >= 2 for a standard error")
     if runs < 2:
         raise ValueError("runs must be >= 2 to compare two halves")
     probs = spec.run_probs(runs)
-    counts = np.array([stream.child(i).generator().multinomial(run_len, p)
-                       for i, p in enumerate(probs)])
+    counts = np.array([rng.multinomial(run_len, p)
+                       for rng, p in zip(stream.child_generators(runs), probs)])
     margins = 1.0 - np.asarray(spec.values)
     _, mean, sem, z = _margin_stats(counts, margins)
     pooled = _margin_stats(counts.sum(axis=0), margins)

@@ -169,6 +169,43 @@ def test_estimate_counter_stats(capsys, tmp_path):
     assert payload["results"]["s_value"] == pytest.approx(1.0 + 1.0 - 1.0 - (-1.0))
 
 
+@pytest.mark.parametrize("stat,flag", [
+    ("correlation", "--a-labels"), ("covariance", "--b-labels"),
+    ("counter-chsh", "--a-labels"), ("counter-chsh", "--include-no-counts"),
+    ("bell-counter", "--b-labels"), ("bell-counter", "--include-no-counts"),
+    ("eberhard", "--include-no-counts")])
+def test_estimate_refuses_a_flag_its_stat_ignores(capsys, tmp_path, stat, flag):
+    path = tmp_path / "trials.csv"
+    write_trials(path, trials_of((0, 0, 1, -1), (3, 2, 1, 1), (0, 2, -1, 0)))
+    argv = ["estimate", "--input", str(path), "--stat", stat]
+    value = [] if flag == "--include-no-counts" else ["5,6"]
+    assert_one_line_error(capsys, argv + [flag] + value,
+                          f"{flag} has no effect on --stat {stat}")
+    # the default, given explicitly, changes nothing the stat reads
+    if value:
+        assert main(argv + [flag, "0,1"]) == 0
+        capsys.readouterr()
+
+
+def test_estimate_takes_the_flags_its_stat_reads(capsys, tmp_path):
+    path = tmp_path / "trials.csv"
+    write_trials(path, trials_of((5, 6, 1, -1), (5, 7, 1, 0), (4, 6, -1, 1)))
+    for stat, extra in (("chsh", ["--include-no-counts"]), ("eberhard", [])):
+        code, payload, _ = run(capsys, "estimate", "--input", str(path),
+                               "--stat", stat, "--a-labels", "5,4",
+                               "--b-labels", "6,7", *extra)
+        assert code == 0 and payload["config"]["a_labels"] == "5,4"
+    for stat in ("correlation", "covariance"):
+        assert main(["estimate", "--input", str(path), "--stat", stat,
+                     "--include-no-counts"]) == 0
+        capsys.readouterr()
+    cfg = tmp_path / "est.cfg"
+    cfg.write_text("include-no-counts = true\n")
+    assert_one_line_error(capsys, ["estimate", "--input", str(path), "--stat",
+                                   "bell-counter", "--config", str(cfg)],
+                          "--include-no-counts has no effect")
+
+
 @pytest.mark.parametrize("stat", ["chsh", "eberhard"])
 def test_estimate_rejects_a_repeated_setting_label(capsys, tmp_path, stat):
     path = tmp_path / "trials.csv"

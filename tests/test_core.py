@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -90,6 +91,22 @@ def test_rng_stream_child_extends_key():
                           RngStream(7, (1, 4)).generator().random(5))
 
 
+@given(seed=st.integers(0, 2**63), key=st.lists(st.integers(0, 2**32 - 1),
+                                                max_size=3),
+       count=st.integers(0, 5))
+def test_child_generators_draw_what_each_child_draws(seed, key, count):
+    s = RngStream(seed, tuple(key))
+    spawned = s.child_generators(count)
+    assert iter(spawned) is spawned  # made one at a time
+    assert [g.integers(0, 2**63, 4).tolist() for g in spawned] == [
+        s.child(i).generator().integers(0, 2**63, 4).tolist()
+        for i in range(count)]
+
+
+def test_child_generators_of_zero_runs_is_empty():
+    assert list(RngStream(3, (1, 2)).child_generators(0)) == []
+
+
 def test_rng_stream_accepts_int_key():
     assert RngStream(1, 5).stream == (5,)
 
@@ -127,6 +144,19 @@ def test_tabulate_conserves_count(rows):
 def test_tabulate_rejects_setting_outside_grid():
     with pytest.raises(ValueError):
         tabulate(trials_of((5, 0, 1, 1)), settings_a=(0,), settings_b=(0,))
+    on_grid = [(0, 2, 1, 1), (2, 0, -1, 0)]
+    # below, between and above the grid (0, 2), on either side: the
+    # first trial off the grid is named
+    for bad in (-1, 1, 3):
+        for pair in ((bad, 0), (2, bad)):
+            rows = on_grid + [(*pair, 1, -1), (bad, bad, 0, 0)]
+            with pytest.raises(ValueError, match=re.escape(
+                    f"trial setting pair {pair} outside the declared grid")):
+                tabulate(trials_of(*rows), (0, 2), (2, 0))
+    with pytest.raises(ValueError, match=re.escape("pair (0, 2) outside")):
+        tabulate(trials_of(*on_grid), (), (0, 2))
+    table = tabulate(trials_of(*on_grid), (0, 2), (0, 2))
+    assert table.counts.sum() == 2 and table.counts[0, 1, 0, 0] == 1
 
 
 def test_count_table_reads_counts_at_labels_over_runs():

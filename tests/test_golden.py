@@ -94,7 +94,7 @@ GOLDEN = {
     "reproduce-contextual/summary.json":
         "fd3a27ccdffbf1911b869fa902c91c8b77f61947284a0566c8fb1f8d867fa1d9",
     "reproduce-spreadsheet/summary.json":
-        "5b367826bf31326a4598b26d03134221944df704232cb13d3f643f1fcf72db53",
+        "6acf98df40cc4cb5920bf75019ed1e166a071a8f6cb5f7df24406025f384196c",
 }
 
 COMMANDS = {

@@ -7,8 +7,8 @@ from scipy import integrate
 
 from bell_lab.core import RngStream
 from bell_lab.sources import (ATOMS, AngleJitter, BallVariant, ContextualParams,
-                              InstructionDist, Spreadsheet4, contextual_batch,
-                              generate_cfd_spreadsheet, generate_tennis_balls,
+                              InstructionDist, Spreadsheet4, cfd_sheet_sums,
+                              contextual_batch, generate_cfd_spreadsheet, generate_tennis_balls,
                               missing_pairs, partial_anticorr, row_combination,
                               singlet_pairs, singlet_prob, smeared_pairs,
                               strict)
@@ -195,6 +195,43 @@ def test_generate_spreadsheet_point_mass_and_determinism():
     s1 = generate_cfd_spreadsheet(40, InstructionDist.uniform(), rng(7))
     s2 = generate_cfd_spreadsheet(40, InstructionDist.uniform(), rng(7))
     assert np.array_equal(s1.rows, s2.rows)
+
+
+@pytest.mark.parametrize("dist", [InstructionDist.uniform(),
+                                  InstructionDist.positive_boundary(),
+                                  InstructionDist.point_mass((1, -1, -1, 1))])
+def test_a_sheet_sum_is_its_instruction_counts_times_the_combinations(dist):
+    sheet = generate_cfd_spreadsheet(500, dist, rng(8))
+    atoms = np.array(ATOMS)
+    per_atom = (sheet.rows[:, None, :] == atoms).all(axis=2).sum(axis=0)
+    assert per_atom.sum() == 500
+    assert sheet.row_combinations().sum() == per_atom @ row_combination(*atoms.T)
+
+
+@pytest.mark.parametrize("dist", [
+    InstructionDist.uniform(),
+    InstructionDist(tuple(np.random.default_rng(22).dirichlet([1] * 16)))])
+def test_counted_sheet_sums_have_the_law_of_per_record_sheets(dist):
+    oracle = np.array([generate_cfd_spreadsheet(1000, dist, g)
+                       .row_combinations().sum()
+                       for g in RngStream(9).child_generators(400)], float)
+    drawn = cfd_sheet_sums(1000, dist, 4000, rng(10)).astype(float)
+    assert drawn.shape == (4000,)
+    # means within 4 SE, and SDs within 4 SE of a normal sample's SD
+    se_mean = math.sqrt(drawn.var(ddof=1) / len(drawn)
+                        + oracle.var(ddof=1) / len(oracle))
+    assert abs(drawn.mean() - oracle.mean()) <= 4 * se_mean
+    se_sd = math.sqrt(drawn.var(ddof=1) / (2 * len(drawn) - 2)
+                      + oracle.var(ddof=1) / (2 * len(oracle) - 2))
+    assert abs(drawn.std(ddof=1) - oracle.std(ddof=1)) <= 4 * se_sd
+
+
+def test_counted_sheet_sums_at_the_edges():
+    boundary = InstructionDist.positive_boundary()
+    assert cfd_sheet_sums(300, boundary, 5, rng(11)).tolist() == [600] * 5
+    assert cfd_sheet_sums(0, InstructionDist.uniform(), 3, rng(11)).tolist() == [0] * 3
+    with pytest.raises(ValueError, match="n_rows must be >= 0"):
+        cfd_sheet_sums(-1, boundary, 5, rng(11))
 
 
 # ---------------------------------------------------------------------------
