@@ -149,7 +149,7 @@ class RngStream:
 
 
 # position in OUTCOMES of outcome v, looked up at index v + 1
-_SLOT = np.array([OUTCOMES.index(v) for v in (-1, 0, 1)])
+_SLOT = np.array([OUTCOMES.index(v) for v in (-1, 0, 1)], np.int8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,8 +197,13 @@ def tabulate(trials: Trials,
         k = int(np.argmin(inside))
         raise ValueError(f"trial setting pair {(int(sa[k]), int(sb[k]))} "
                          "outside the declared grid")
-    cell = (((pos_a * len(grid_b) + pos_b) * 3 + _SLOT[trials.a + 1]) * 3
-            + _SLOT[trials.b + 1])
+    # each trial's flat cell, built in place on pos_a: every int64
+    # temporary would hold one more column of 8 bytes a trial
+    cell = pos_a
+    cell *= len(grid_b)
+    cell += pos_b
+    cell *= 9
+    cell += 3 * _SLOT[trials.a + 1] + _SLOT[trials.b + 1]
     counts = np.bincount(cell, minlength=9 * len(grid_a) * len(grid_b))
     return CountTable(tuple(grid_a.tolist()), tuple(grid_b.tolist()),
                       counts.reshape(len(grid_a), len(grid_b), 3, 3))
