@@ -144,6 +144,8 @@ class RngStream:
     def child_generators(self, count: int) -> Iterator[np.random.Generator]:
         """child(i).generator() for i in range(count), made one at a time
         from a single spawn: numpy keys spawned child i as stream + (i,)."""
+        if count < 0:
+            raise ValueError("count must be >= 0")
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self.stream)
         return map(np.random.default_rng, seq.spawn(count))
 

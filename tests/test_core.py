@@ -105,6 +105,8 @@ def test_child_generators_draw_what_each_child_draws(seed, key, count):
 
 def test_child_generators_of_zero_runs_is_empty():
     assert list(RngStream(3, (1, 2)).child_generators(0)) == []
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        RngStream(3).child_generators(-2)
 
 
 def test_rng_stream_accepts_int_key():

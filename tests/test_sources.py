@@ -8,10 +8,10 @@ from scipy import integrate
 from bell_lab.core import RngStream
 from bell_lab.sources import (ATOMS, AngleJitter, BallVariant, ContextualParams,
                               InstructionDist, Spreadsheet4, cfd_sheet_sums,
-                              contextual_batch, generate_cfd_spreadsheet, generate_tennis_balls,
-                              missing_pairs, partial_anticorr, row_combination,
-                              singlet_pairs, singlet_prob, smeared_pairs,
-                              strict)
+                              contextual_batch, generate_cfd_spreadsheet,
+                              generate_tennis_balls, missing_pairs,
+                              partial_anticorr, row_combination, singlet_pairs,
+                              singlet_prob, smeared_pairs, strict)
 
 # value of -(sin(w)/w)^2 at w = pi/8: the aligned-analyzer correlation
 # under uniform orientation jitter of half-width w on both sides,
