@@ -69,6 +69,21 @@ def _in_time_order(events: Events):
             np.append(events.outcome[order], NO_COUNT))
 
 
+def _reach(wa: np.ndarray, wb: np.ndarray, c: int):
+    """(lo, hi) per side-A window w: the sorted side-B windows in
+    [w - c, w + c] are wb[lo:hi].
+
+    The windows are compared as uint64 keys that keep their order, and
+    the shifts by c saturate at either end instead of wrapping.
+    """
+    sign = np.uint64(1 << 63)
+    ka, kb = wa.view(np.uint64) ^ sign, wb.view(np.uint64) ^ sign
+    c = np.uint64(c)
+    lo = np.searchsorted(kb, np.where(ka < c, 0, ka - c), "left")
+    hi = np.searchsorted(kb, np.where(ka > ~c, ~np.uint64(0), ka + c), "right")
+    return lo, hi
+
+
 def pair_time_window(events_a: Events, events_b: Events,
                      width: float) -> Trials:
     """Greedy coincidence matching on window indices.
@@ -84,24 +99,38 @@ def pair_time_window(events_a: Events, events_b: Events,
         raise ValueError(f"width must be finite and > 0, got {width}")
     wa, sa, oa = _in_time_order(events_a)
     wb, sb, ob = _in_time_order(events_b)
-    nb = len(events_b)
-    wb_list = wb.tolist()
-    partner = []  # per side-A event: its side-B index, or -1
-    j = 0
-    for w in wa[:-1].tolist():
-        while j < nb and wb_list[j] <= w - width:
-            j += 1
-        if j < nb and abs(wb_list[j] - w) < width:
-            partner.append(j)
-            j += 1
-        else:
-            partner.append(-1)
-    partner = np.array(partner, dtype=np.int64)
+    na, nb = len(events_a), len(events_b)
+    ta, tb = wa[:-1], wb[:-1]  # without the trailing row
+    # windows are integers: |w_a - w_b| < width is |w_a - w_b| <= c, and
+    # no two windows lie further apart than the span of them all
+    windows = np.concatenate([ta, tb])
+    span = int(windows.max()) - int(windows.min()) if windows.size else 0
+    c = min(math.ceil(width) - 1, span)
+    lo, hi = _reach(ta, tb, c)
+    if c == 0:
+        # equal windows only: the k-th side-A event of a window takes
+        # the k-th side-B event of that window, if there is one
+        partner = lo + np.arange(na) - np.searchsorted(ta, ta, "left")
+        partner[partner >= hi] = -1
+    else:
+        # each side-A event takes the first side-B event of its range
+        # that is not taken yet; every taken one lies before j
+        partner = []  # per side-A event: its side-B index, or -1
+        j = 0
+        for first, stop in zip(lo.tolist(), hi.tolist()):
+            if j < first:
+                j = first
+            if j < stop:
+                partner.append(j)
+                j += 1
+            else:
+                partner.append(-1)
+        partner = np.array(partner, dtype=np.int64)
     times_taken = np.bincount(partner[partner >= 0], minlength=nb)
     lone_b = np.flatnonzero(times_taken == 0)
     # rows: every side-A event with its partner, then the lone side-B
     # events; the sort below is stable, so equal keys keep this order
-    ia = np.concatenate([np.arange(len(events_a)), np.full(len(lone_b), -1)])
+    ia = np.concatenate([np.arange(na), np.full(len(lone_b), -1)])
     ib = np.concatenate([partner, lone_b])
     order = np.lexsort((ia < 0, np.minimum(wa[ia], wb[ib])))
     ia, ib = ia[order], ib[order]

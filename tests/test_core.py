@@ -297,3 +297,13 @@ def test_column_writers_match_csv_writer_past_one_chunk():
     a, b = rng.integers(-1, 2, size=(2, n))
     assert_written_like_csv_writer(Events(big[0], big[1], a),
                                    Trials(big[0], big[1], a, b))
+
+
+def test_column_writers_write_the_widest_rows_past_one_chunk():
+    # every label cell int64 min or max and every outcome -1: the longest
+    # cells there are, in rows on both sides of a chunk boundary
+    n = core.WRITE_CHUNK_ROWS + 3
+    labels = np.where(np.arange(2 * n).reshape(2, n) % 3, INT64.min, INT64.max)
+    a = np.full(n, -1)
+    assert_written_like_csv_writer(Events(labels[0], labels[1], a),
+                                   Trials(labels[0], labels[1], a, a))

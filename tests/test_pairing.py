@@ -179,6 +179,64 @@ def test_window_matching_equals_the_record_merge(rows_a, rows_b, width):
     assert rows(trials) == want
 
 
+def exact_time_window(ea, eb, width):
+    """The greedy merge with every window difference taken as a Python
+    int and compared with width exactly: (window, setting, outcome)
+    events in, (setting_a, setting_b, a, b) trials out."""
+    ea = sorted(ea, key=lambda e: e[0])
+    eb = sorted(eb, key=lambda e: e[0])
+    keyed, j, matched_b = [], 0, [False] * len(eb)
+    for wa, sa, oa in ea:
+        while j < len(eb) and wa - eb[j][0] >= width:
+            j += 1
+        if j < len(eb) and abs(eb[j][0] - wa) < width:
+            wb, sb, ob = eb[j]
+            matched_b[j] = True
+            j += 1
+            keyed.append((min(wa, wb), 0, (sa, sb, oa, ob)))
+        else:
+            keyed.append((wa, 0, (sa, UNPAIRED_SETTING, oa, NO_COUNT)))
+    for k, (wb, sb, ob) in enumerate(eb):
+        if not matched_b[k]:
+            keyed.append((wb, 1, (UNPAIRED_SETTING, sb, NO_COUNT, ob)))
+    keyed.sort(key=lambda kt: (kt[0], kt[1]))
+    return [t for _, _, t in keyed]
+
+
+INT64 = np.iinfo(np.int64)
+# anywhere in int64, and tight clusters at both ends and around zero
+int64_windows = st.one_of(st.integers(INT64.min, INT64.max),
+                          st.integers(INT64.min, INT64.min + 3),
+                          st.integers(-3, 3),
+                          st.integers(INT64.max - 3, INT64.max))
+int64_event_rows = st.lists(st.tuples(int64_windows, st.integers(0, 1),
+                                      st.sampled_from((1, -1, 0))),
+                            max_size=20)
+
+
+@given(int64_event_rows, int64_event_rows,
+       st.sampled_from((0.25, 1, 2, 2.5, 1e30, 2.0 ** 63)))
+def test_window_matching_is_exact_at_every_int64_window(rows_a, rows_b, width):
+    want = exact_time_window(rows_a, rows_b, width)
+    trials = pair_time_window(events_of(*rows_a), events_of(*rows_b), width)
+    assert rows(trials) == want
+
+
+tied_cells = st.lists(st.tuples(st.integers(0, 3), st.sampled_from((1, -1, 0))),
+                     max_size=40)
+
+
+@given(tied_cells, tied_cells, st.sampled_from((0.25, 0.5, 1)))
+def test_window_rank_matching_under_heavy_ties(cells_a, cells_b, width):
+    # each event's setting is its place in its unsorted stream, so a
+    # sort that reordered equal windows would show in the trials
+    rows_a = [(w, i, o) for i, (w, o) in enumerate(cells_a)]
+    rows_b = [(w, i, o) for i, (w, o) in enumerate(cells_b)]
+    want = reference_time_window(rows_a, rows_b, width)
+    trials = pair_time_window(events_of(*rows_a), events_of(*rows_b), width)
+    assert rows(trials) == want
+
+
 @given(event_rows, event_rows, st.sampled_from((1, 2)))
 def test_trial_rows_count_like_the_columns(rows_a, rows_b, width):
     # perfbench's window counter walks a pair_time_window result row by
