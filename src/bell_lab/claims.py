@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import bellgame, estimators, pairing, randi, sources, stats
-from .core import CountTable, Events, RngStream, Trials, tabulate
+from .core import CountTable, Events, RngStream, outcome_counts
 
 RUNS = 1000  # runs per challenge campaign
 
@@ -147,13 +147,11 @@ def _bellgame(n, stream):
 def _contextual(n, stream):
     rng = stream.generator()
     params = sources.ContextualParams()
-    # one table per setting pair, summed: tabulating all 4n trials in one
-    # call holds them in memory together, 35 MB more at the default n
+    # each setting pair's outcomes counted as drawn: holding all 4n trials
+    # at once would take 35 MB more at the default n
     counts = np.zeros((2, 2, 3, 3), np.int64)
     for x, y in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        a, b = sources.contextual_batch(x, y, n, params, rng)
-        counts += tabulate(Trials(np.full(n, x), np.full(n, y), a, b),
-                           (0, 1), (0, 1)).counts
+        counts[x, y] += outcome_counts(*sources.contextual_batch(x, y, n, params, rng))
     est = estimators.chsh(CountTable((0, 1), (0, 1), counts))
     return est["s_value"], sum(est["sizes"]) / (4 * n)
 

@@ -32,6 +32,11 @@ def plain(value):
     return None if value != value else value
 
 
+def plain_list(values) -> list:
+    """The values of an array as Python numbers, NaN (undefined) as None."""
+    return [None if v != v else v for v in np.asarray(values).tolist()]
+
+
 def _integers(values, what: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.size and arr.dtype.kind not in "iu":
@@ -116,6 +121,42 @@ class Trials(_ColumnStore):
         return map(PairedTrial, *(c.tolist() for c in self._columns()))
 
 
+# numpy's SeedSequence hash, O'Neill's seed_seq_fe ("Developing a seed_seq
+# Alternative", pcg-random.org, 2015), with the constants of numpy's
+# bit_generator.pyx; every product wraps at 2**32, as uint32 arrays do
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_WORD = 2**32
+
+
+def _words(n: int) -> int:
+    """How many uint32 words SeedSequence reads from the integer n."""
+    return max(1, -(-n.bit_length() // 32))
+
+
+def _hash(values: np.ndarray, const: int, mult: int) -> tuple:
+    """One seed_seq_fe hash of uint32 values at hash constant const, and
+    the constant after it."""
+    out = values ^ np.uint32(const)
+    const = const * mult % _WORD
+    out *= np.uint32(const)
+    out ^= out >> 16
+    return out, const
+
+
+class _PresetSeed(np.random.bit_generator.ISeedSequence):
+    """A SeedSequence's PCG64 seed, computed ahead of its generator."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a preset seed gives only generate_state(4, np.uint64)")
+        return self.state
+
+
 @dataclass(frozen=True)
 class RngStream:
     """A named, reproducible random stream.
@@ -142,16 +183,45 @@ class RngStream:
         return RngStream(self.seed, self.stream + (int(index),))
 
     def child_generators(self, count: int) -> Iterator[np.random.Generator]:
-        """child(i).generator() for i in range(count), made one at a time
-        from a single spawn: numpy keys spawned child i as stream + (i,)."""
+        """child(i).generator() for i in range(count), bit for bit: every
+        child's PCG64 seed is hashed at once, each generator made when
+        iterated.  A child index is one uint32 word, so count <= 2**32."""
         if count < 0:
             raise ValueError("count must be >= 0")
-        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self.stream)
-        return map(np.random.default_rng, seq.spawn(count))
+        if count > _WORD:
+            raise ValueError("count must be <= 2**32")
+        return (np.random.Generator(np.random.PCG64(_PresetSeed(state)))
+                for state in self._child_seeds(count))
+
+    def _child_seeds(self, count: int) -> np.ndarray:
+        """A (count, 4) array whose row i is generate_state(4, np.uint64) of
+        SeedSequence(seed, spawn_key=stream + (i,)), the seed of child i."""
+        pool = np.random.SeedSequence(entropy=self.seed, spawn_key=self.stream).pool
+        # child i's entropy is the seed padded to 4 words, the key's words
+        # and then the word i, so its pool is this pool mixed with i; each
+        # word before i took four hashes of the constant
+        n_words = max(_words(int(self.seed)), 4) + sum(map(_words, self.stream))
+        const = _INIT_A * pow(_MULT_A, 4 * n_words, _WORD) % _WORD
+        index = np.arange(count, dtype=np.uint32)
+        mixed = []
+        for word in pool.tolist():
+            hashed, const = _hash(index, const, _MULT_A)
+            # seed_seq_fe's mix of the pool word with the hashed index
+            hashed *= np.uint32(_MIX_MULT_R)
+            out = np.uint32(_MIX_MULT_L * word % _WORD) - hashed
+            out ^= out >> 16
+            mixed.append(out)
+        # generate_state(4, np.uint64): eight words, cycling over the pool
+        state, const = np.empty((count, 8), np.uint32), _INIT_B
+        for j in range(8):
+            state[:, j], const = _hash(mixed[j % 4], const, _MULT_B)
+        return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-# position in OUTCOMES of outcome v, looked up at index v + 1
-_SLOT = np.array([OUTCOMES.index(v) for v in (-1, 0, 1)], np.int8)
+def _outcome_cell(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The flat cell of each outcome pair in a (3, 3) table indexed as
+    OUTCOMES, where outcome v sits at (v + 2) % 3."""
+    return 3 * ((a + 2) % 3) + (b + 2) % 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,10 +275,19 @@ def tabulate(trials: Trials,
     cell *= len(grid_b)
     cell += pos_b
     cell *= 9
-    cell += 3 * _SLOT[trials.a + 1] + _SLOT[trials.b + 1]
+    cell += _outcome_cell(trials.a, trials.b)
     counts = np.bincount(cell, minlength=9 * len(grid_a) * len(grid_b))
     return CountTable(tuple(grid_a.tolist()), tuple(grid_b.tolist()),
                       counts.reshape(len(grid_a), len(grid_b), 3, 3))
+
+
+def outcome_counts(a, b) -> np.ndarray:
+    """The (3, 3) counts of the outcome pairs (a[k], b[k]), indexed as
+    OUTCOMES: one setting pair's cells of a CountTable."""
+    a, b = check_outcomes(a), check_outcomes(b)
+    if len(a) != len(b):
+        raise ValueError(f"outcome columns differ in length: {len(a)} != {len(b)}")
+    return np.bincount(_outcome_cell(a, b), minlength=9).reshape(3, 3)
 
 
 EVENT_FIELDS = ("window_index", "setting_label", "outcome")
@@ -276,12 +355,12 @@ def _write_columns(path, header, store: _ColumnStore) -> None:
             fh.buffer.write(_csv_rows(block))
 
 
-def _loadtxt(lines, usecols) -> np.ndarray:
+def _loadtxt(source, usecols, **kwargs) -> np.ndarray:
     with warnings.catch_warnings():
         # a header-only file reads as empty columns
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2,
-                          usecols=usecols, comments=None, quotechar='"')
+        return np.loadtxt(source, delimiter=",", dtype=np.int64, ndmin=2,
+                          usecols=usecols, comments=None, quotechar='"', **kwargs)
 
 
 # lines per loadtxt call while _raise_at_file_line looks for the bad one
@@ -314,17 +393,21 @@ def read_columns(path, header) -> list:
     integer; a missing or repeated column, a short row or a cell that is
     not an int64 is a ValueError, which names the file line of a bad row."""
     with open(path, encoding="utf-8-sig") as fh:
-        names = next(csv.reader(fh), [])
-        for name in header:
-            if names.count(name) != 1:
-                raise ValueError(f"{'repeated' if name in names else 'missing'} "
-                                 f"column {name!r}")
-        usecols = [names.index(name) for name in header]
-        try:
-            block = _loadtxt(fh, usecols)
-        except ValueError:
-            _raise_at_file_line(path, usecols)
-            raise
+        reader = csv.reader(fh)
+        names = next(reader, [])
+    for name in header:
+        if names.count(name) != 1:
+            raise ValueError(f"{'repeated' if name in names else 'missing'} "
+                             f"column {name!r}")
+    usecols = [names.index(name) for name in header]
+    # given a path, loadtxt reads the file in large chunks, not line by line;
+    # skiprows counts physical lines, as line_num does
+    try:
+        block = _loadtxt(path, usecols, skiprows=reader.line_num,
+                         encoding="utf-8-sig")
+    except ValueError:
+        _raise_at_file_line(path, usecols)
+        raise
     return list(block.T.copy())
 
 

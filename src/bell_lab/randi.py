@@ -14,7 +14,8 @@ before learning the settings produce violation statistics run after run?
 A campaign run draws its count table directly, with the same law as
 the per-record samplers (generate_cfd_spreadsheet with gill_subsample,
 vongher_trials), which stay as the oracle.  Run i draws from
-stream.child(i), spawned once per campaign, so a campaign depends on
+stream.child(i), whose generator RngStream.child_generators seeds with
+every other run's in one hash pass, so a campaign depends on
 (seed, stream) alone; the runs' tables are then stacked into one
 CountTable over runs and scored by one estimator call.  A campaign
 returns the results dict that `bell-lab qrc-gill` / `qrc-vongher` write
@@ -27,8 +28,8 @@ import math
 
 import numpy as np
 
-from .core import (NO_COUNT, OUTCOMES, CountTable, RngStream, Trials, plain,
-                   tabulate)
+from .core import (NO_COUNT, OUTCOMES, CountTable, RngStream, Trials,
+                   plain_list, tabulate)
 from .estimators import (bell_counter_test, chsh, chsh_from_counters,
                          vongher_counters)
 from .sources import (ATOMS, SETTINGS_A, SETTINGS_B, BallTable, BallVariant,
@@ -117,7 +118,7 @@ def gill_campaign(dist: InstructionDist, n_rows: int, runs: int,
         [gill_table(dist, n_rows, rng).counts
          for rng in stream.child_generators(runs)])))
     violated = est["s_value"] > CHSH_BOUND
-    rows = zip(range(runs), map(plain, est["s_value"]),
+    rows = zip(range(runs), plain_list(est["s_value"]),
                violated.astype(int).tolist(), *(n.tolist() for n in est["sizes"]))
     return (_summary(runs, int(violated.sum()), qrc_bound=qrc_win_bound(runs)),
             list(rows))
@@ -226,7 +227,7 @@ def vongher_campaign(source, runs: int, n_pairs: int, stream: RngStream) -> tupl
     s = chsh_from_counters(counters)["s_value"]
     violated = s > CHSH_BOUND
     rows = zip(range(runs), bell["lhs"].tolist(), bell["rhs"].tolist(),
-               bell["violated"].astype(int).tolist(), map(plain, s),
+               bell["violated"].astype(int).tolist(), plain_list(s),
                violated.astype(int).tolist(),
                *(n.tolist() for n in counters["n_e"] + counters["n_u"]))
     return (_summary(runs, int(violated.sum()), int(bell["violated"].sum())),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, plain
+from .core import RngStream, plain, plain_list
 
 
 def chebyshev_confidence(mean: float, sem_value: float) -> float:
@@ -228,9 +228,9 @@ def breakdown_demo(spec: DriftingDeviceSpec, runs: int, run_len: int,
     homogeneity battery explains why: the series is not one experiment.
     The tested margin is x = 1 - value and the null says its mean is
     >= 0; a run rejects when z drops below -REJECT_SEM.  Run i draws its
-    symbol counts, one multinomial, from stream.child(i), spawned once per
-    campaign.  Returns the results breakdown writes to summary.json; z
-    is None where SEM = 0.
+    symbol counts, one multinomial, from stream.child(i), seeded with
+    every other run's by RngStream.child_generators.  Returns the results
+    breakdown writes to summary.json; z is None where SEM = 0.
     """
     if run_len < 2:
         raise ValueError("run_len must be >= 2 for a standard error")
@@ -252,9 +252,9 @@ def breakdown_demo(spec: DriftingDeviceSpec, runs: int, run_len: int,
     return {
         "runs": runs,
         "run_length": run_len,
-        "per_run": [{"run": i, "mean": m, "sem": s, "z": plain(v)}
-                    for i, (m, s, v) in enumerate(zip(mean.tolist(),
-                                                      sem.tolist(), z))],
+        "per_run": [{"run": i, "mean": m, "sem": s, "z": v}
+                    for i, (m, s, v) in enumerate(zip(mean.tolist(), sem.tolist(),
+                                                      plain_list(z)))],
         "pooled": dict(zip(("n", "mean", "sem", "z"), map(plain, pooled))),
         "n_rejecting_100_sem": int(np.count_nonzero(z < -REJECT_SEM)),
         "homogeneity": {name: {k: h[k] for k in ("statistic", "p_value")}

@@ -2,6 +2,7 @@ import csv
 import io
 import re
 import tempfile
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 from unittest import mock
@@ -13,8 +14,8 @@ from hypothesis import given, strategies as st
 from bell_lab import core
 from bell_lab.core import (EVENT_FIELDS, OUTCOMES, TRIAL_FIELDS, CountTable,
                            Events, PairedTrial, RngStream, Trials, check_outcomes,
-                           read_events, read_trials, tabulate, write_events,
-                           write_trials)
+                           outcome_counts, read_events, read_trials, tabulate,
+                           write_events, write_trials)
 
 
 def trials_of(*rows):
@@ -91,9 +92,11 @@ def test_rng_stream_child_extends_key():
                           RngStream(7, (1, 4)).generator().random(5))
 
 
-@given(seed=st.integers(0, 2**63), key=st.lists(st.integers(0, 2**32 - 1),
-                                                max_size=3),
-       count=st.integers(0, 5))
+# seeds and key elements of one to seven uint32 words: the child seeds
+# hash a seed of more than 4 words, and key elements of several, as numpy does
+@given(seed=st.integers(0, 2**200), key=st.lists(st.integers(0, 2**64),
+                                                 max_size=3),
+       count=st.one_of(st.integers(0, 5), st.integers(250, 300)))
 def test_child_generators_draw_what_each_child_draws(seed, key, count):
     s = RngStream(seed, tuple(key))
     spawned = s.child_generators(count)
@@ -107,6 +110,19 @@ def test_child_generators_of_zero_runs_is_empty():
     assert list(RngStream(3, (1, 2)).child_generators(0)) == []
     with pytest.raises(ValueError, match="count must be >= 0"):
         RngStream(3).child_generators(-2)
+
+
+def test_child_generators_refuse_an_index_past_one_word_at_once():
+    # child i's index is one uint32 word; the refusal comes before any
+    # seed array of that size is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape("count must be <= 2**32")):
+            RngStream(3, (1,)).child_generators(2**32 + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_rng_stream_accepts_int_key():
@@ -141,6 +157,25 @@ def test_tabulate_conserves_count(rows):
     for (x, y, a, b) in set(rows):
         assert table.at(x, y)[OUTCOMES.index(a), OUTCOMES.index(b)] == rows.count(
             (x, y, a, b))
+
+
+@given(st.lists(st.tuples(st.sampled_from(OUTCOMES), st.sampled_from(OUTCOMES)),
+                max_size=60))
+def test_outcome_counts_are_one_setting_pairs_cells(pairs):
+    a, b = np.array(pairs, np.int64).reshape(-1, 2).T
+    zeros = np.zeros(len(pairs), np.int64)
+    counts = outcome_counts(a, b)
+    assert counts.tolist() == [[pairs.count((x, y)) for y in OUTCOMES]
+                               for x in OUTCOMES]
+    assert np.array_equal(counts, tabulate(Trials(zeros, zeros, a, b),
+                                           (0,), (0,)).at(0, 0))
+
+
+def test_outcome_counts_refuse_a_bad_outcome():
+    with pytest.raises(ValueError, match=re.escape(f"{OUTCOMES}, got 2")):
+        outcome_counts([1, 2], [0, 0])
+    with pytest.raises(ValueError, match="differ in length"):
+        outcome_counts([1, -1], [0])
 
 
 def test_tabulate_rejects_setting_outside_grid():
@@ -210,6 +245,9 @@ EVENT_FILES = {  # the same two events, in each form the reader accepts
     "repeated-extra-column": ("window_index,x,setting_label,x,outcome\n"
                               "5,,1,,-1\n6,,0,,1\n"),
     "padded": "window_index,setting_label,outcome\n 5 , 1 ,-1\n6, 0 , 1 \n",
+    # data starts after the header's second physical line
+    "two-line-header": ('window_index,"note\r\n1,2,3",setting_label,outcome\r\n'
+                        "5,x,1,-1\r\n6,y,0,1\r\n"),
 }
 
 
@@ -237,6 +275,8 @@ BAD_LINES = {  # file text -> the reader's error, which names the file line
         "invalid column index 2 at line 5 with 2 columns",
     "\ufeff" + HEADER.replace("\n", "\r\n") + "\r\n1,0,x\r\n":
         "could not convert string 'x' to int64 at line 3, column 3.",
+    'window_index,"a\nb",setting_label,outcome\n0,,0,x\n':
+        "could not convert string 'x' to int64 at line 3, column 4.",
     "outcome,window_index,setting_label\n" + "1,0,0\n" * 2500 + "\n-1,7,0.5\n":
         "could not convert string '0.5' to int64 at line 2503, column 3.",
 }

@@ -84,6 +84,17 @@ def test_gill_campaign_rows_score_their_tables():
     assert results["chsh_violations"] == sum(row[2] for row in rows)
 
 
+def test_tiny_gill_campaign_rows_hold_none_where_chsh_is_undefined():
+    # at 6 rows a run often leaves a coin group empty, and its S undefined
+    dist = InstructionDist.uniform()
+    stream = RngStream(10)
+    _, rows = gill_campaign(dist, n_rows=6, runs=60, stream=stream)
+    per_run = [chsh(gill_table(dist, 6, stream.child(i).generator()))["s_value"]
+               for i in range(60)]
+    assert [row[1] is None for row in rows] == [s is None for s in per_run]
+    assert 0 < per_run.count(None) < 60
+
+
 def test_campaign_report_optional_fields():
     # the coin campaign gives no Bell verdict, the ball campaign no win bound
     gill, _ = gill_campaign(InstructionDist.uniform(), n_rows=100, runs=10,
