@@ -78,6 +78,21 @@ def test_table_homogeneity_drops_a_zero_column():
                  "details": {"dof": 1, "parts": 2}}
 
 
+def test_table_homogeneity_refuses_a_part_with_no_counts():
+    # an empty part makes a zero expected cell, which the test cannot score
+    for table in ([[3, 5], [0, 0]], [[0, 0, 0], [2, 0, 7], [1, 4, 0]]):
+        with pytest.raises(ValueError, match="^The internally computed table "
+                           "of expected frequencies has a zero element at "):
+            table_homogeneity(table)
+
+
+@pytest.mark.parametrize("table", [[[3], [5]], [[3, 5]], [[0, 4, 1]]])
+def test_table_homogeneity_without_freedom_is_uninformative(table):
+    assert table_homogeneity(table, parts=len(table)) == {
+        "statistic": 0.0, "p_value": 1.0,
+        "details": {"dof": 0, "parts": len(table)}}
+
+
 def test_chi_square_single_category_is_uninformative():
     r = homogeneity_test(np.zeros(100), "chi_square")
     assert r["p_value"] == 1.0
