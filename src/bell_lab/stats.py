@@ -7,6 +7,10 @@ per-run SEMs and chebyshev_confidence quantify significance under that
 assumption, and the homogeneity tests check whether it deserves any
 trust.  breakdown_demo wires both onto a device that drifts mid-series,
 where per-run certainty and pooled complacency coexist.
+
+Every p-value comes from numpy and the standard library: the
+chi-square tail is erfc plus a finite series, the two-sample KS tail is
+exact at every half size, and the runs test's normal tail is erfc.
 """
 
 from __future__ import annotations
@@ -62,18 +66,72 @@ def _result(statistic, p_value, **details) -> dict:
             "details": details}
 
 
+# fdlibm's split of log(2): k * _LN2_HI is exact for k < 2**21
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+
+
+def _chi2_sf(x: float, dof: int) -> float:
+    """P(X > x) for X chi-square with a positive integer dof.
+
+    With y = x/2 the tail is a finite sum: the Poisson terms
+    e^-y y^a / a! for a = 0 .. dof/2 - 1 at even dof, and erfc(sqrt(y))
+    plus the terms e^-y y^a / Gamma(a + 1) for a = 1/2 .. dof/2 - 1 at
+    odd dof.  Each term is the last times y / a.  The terms and their
+    sum are kept scaled by 2^k, so that none under- or overflows, and
+    e^-y enters as 2^-k e^-r, with r = y - k log 2 reduced in two exact
+    steps; the tail is then as accurate as the sum's roundings.
+    """
+    if x <= 0:
+        return 1.0
+    y = 0.5 * x
+    k = round(y / math.log(2.0))
+    term = math.exp(k * _LN2_LO - (y - k * _LN2_HI))
+    if dof % 2:
+        head, a = math.erfc(math.sqrt(y)), 0.5
+        term *= 2.0 * math.sqrt(y / math.pi)
+    else:
+        head, a = 0.0, 0.0
+    total = 0.0
+    while a < 0.5 * dof:
+        total += term
+        a += 1.0
+        term *= y / a
+        if term > 2.0 ** 900:
+            term, total, k = term * 2.0 ** -900, total * 2.0 ** -900, k - 900
+    return head + math.ldexp(total, -k)
+
+
 def table_homogeneity(table, **details) -> dict:
     """Contingency chi-square: do all rows of a count table share one law?
 
     Rows are parts of a series and columns are categories.  A category
-    that no part shows carries no information and is dropped.  details
-    are reported after the degrees of freedom.
+    that no part shows carries no information and is dropped.  As
+    scipy's chi2_contingency does, the statistic takes Yates' correction
+    at 1 degree of freedom, is 0 with p = 1 at 0 degrees of freedom, and
+    a zero expected cell (a part with no counts) is a ValueError.
+    details are reported after the degrees of freedom.
     """
     table = np.asarray(table)
+    if (table < 0).any():
+        raise ValueError("counts must be >= 0")
     table = table[:, table.sum(axis=0) > 0]
-    from scipy import stats as sps  # about a second to import: load on use
-    stat, p_value, dof, _ = sps.chi2_contingency(table)
-    return _result(stat, p_value, dof=int(dof), **details)
+    if not table.size:
+        raise ValueError("the table holds no counts")
+    observed = table.astype(float)
+    expected = (observed.sum(axis=1, keepdims=True) * observed.sum(axis=0)
+                / observed.sum())
+    if not expected.all():
+        cell = tuple(np.argwhere(expected == 0)[0])
+        raise ValueError("The internally computed table of expected "
+                         f"frequencies has a zero element at {cell}.")
+    dof = (expected.shape[0] - 1) * (expected.shape[1] - 1)
+    if dof == 0:
+        return _result(0.0, 1.0, dof=0, **details)
+    if dof == 1:
+        diff = expected - observed
+        observed = observed + np.minimum(0.5, np.abs(diff)) * np.sign(diff)
+    stat = float(np.sum((observed - expected) ** 2 / expected))
+    return _result(stat, _chi2_sf(stat, dof), dof=dof, **details)
 
 
 def _chi_square_parts(values: np.ndarray, n_parts: int) -> dict:
@@ -91,13 +149,35 @@ def _chi_square_parts(values: np.ndarray, n_parts: int) -> dict:
     return table_homogeneity(table, parts=n_parts, categories=cats.tolist())
 
 
+def _ks_equal_sf(n: int, h: int) -> float:
+    """P(D >= h/n) for the two-sided KS distance D of two samples of n
+    values each, exact at every n: Hodges' lattice-path count (Ark. Mat.
+    1958) as an alternating sum, evaluated Horner-style from the far end
+    as scipy's ks_2samp does, so it matches that bit for bit; a sum
+    that rounds past 1 is 1."""
+    if h == 0:
+        return 1.0
+    p = 0.0
+    for k in range(n // h, -1, -1):
+        term = 1.0
+        for j in range(h):
+            term = (n - k * h - j) * term / (n + k * h + j + 1)
+        p = term * (1.0 - p)
+    return min(1.0, 2.0 * p)
+
+
 def _ks_halves(values: np.ndarray) -> dict:
     half = values.size // 2
     if half < 1:
         raise ValueError("need at least 2 values")
-    from scipy import stats as sps
-    res = sps.ks_2samp(values[:half], values[half:2 * half])
-    return _result(res.statistic, res.pvalue, half_size=half)
+    if np.isnan(values[:2 * half]).any():
+        return _result(math.nan, math.nan, half_size=half)
+    a, b = np.sort(values[:half]), np.sort(values[half:2 * half])
+    pooled = np.concatenate([a, b])
+    # D = h / half, h the largest gap between the halves' step counts
+    h = int(np.abs(np.searchsorted(a, pooled, side="right")
+                   - np.searchsorted(b, pooled, side="right")).max())
+    return _result(h / half, _ks_equal_sf(half, h), half_size=half)
 
 
 def runs_test(values) -> dict:
@@ -120,8 +200,7 @@ def runs_test(values) -> dict:
     mean_r = 1.0 + 2.0 * n1 * n2 / n
     var_r = 2.0 * n1 * n2 * (2.0 * n1 * n2 - n) / (n ** 2 * (n - 1))
     z = (r - mean_r) / math.sqrt(var_r)
-    from scipy import stats as sps
-    p = 2.0 * float(sps.norm.sf(abs(z)))
+    p = math.erfc(abs(z) / math.sqrt(2.0))
     return _result(z, min(1.0, p), runs=r, n_above=n1, n_below=n2)
 
 

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import io
@@ -643,18 +644,44 @@ def test_help_version_and_usage_errors_leave_numpy_unloaded(argv):
     assert "numpy" not in loaded_after(code)
 
 
+# every scipy module loads the scipy package, so skipping "scipy" skips
+# them all
 @pytest.mark.parametrize("argv, needs, skips", [
     (["qrc-gill", "--runs", "2", "--rows", "40"], {"numpy", "bell_lab.randi"},
-     {"bell_lab.stats", "bell_lab.bellgame", "bell_lab.claims", "scipy.stats"}),
+     {"bell_lab.stats", "bell_lab.bellgame", "bell_lab.claims", "scipy"}),
     (["breakdown", "--run-len", "100"], {"numpy", "bell_lab.stats"},
      {"bell_lab.estimators", "bell_lab.sources", "bell_lab.randi",
-      "bell_lab.bellgame", "bell_lab.claims"}),
+      "bell_lab.bellgame", "bell_lab.claims", "scipy"}),
 ], ids=["qrc-gill", "breakdown"])
 def test_a_command_loads_only_the_modules_it_runs(argv, needs, skips):
     loaded = loaded_after(f"from bell_lab.cli import main; "
                           f"assert main({argv!r}) == 0")
     assert needs <= loaded
     assert not loaded & skips
+
+
+@pytest.mark.parametrize("argv", [
+    ["homogeneity", "--method", "all", "--input", "events_a.csv"],
+    ["reproduce", "--target", "all"],
+], ids=["homogeneity", "reproduce"])
+def test_statistics_commands_load_no_scipy(capsys, tmp_path, argv):
+    simulate_into(capsys, tmp_path)
+    argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+    loaded = loaded_after(f"from bell_lab.cli import main; "
+                          f"assert main({argv!r}) == 0")
+    assert "bell_lab.stats" in loaded
+    assert not {m for m in loaded if m.split(".")[0] == "scipy"}
+
+
+def test_no_library_module_imports_scipy():
+    # scipy is a test-only dependency: the tests use it as an oracle
+    for path in sorted(Path(bell_lab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom)
+                     else [])
+            assert not [n for n in names if n.split(".")[0] == "scipy"], (
+                f"{path.name}:{node.lineno} imports scipy")
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Each command runs in a fresh temporary directory with relative paths, so
 summary.json's config holds nothing that varies between checkouts.  A
 change that moves any of these hashes changes the lab's output and must
-say so.
+say so.  The pins were taken under numpy PINNED_NUMPY: another numpy may
+draw or format different bytes, and a failure then names both versions.
 """
 
 import csv
@@ -15,6 +16,8 @@ import numpy as np
 import pytest
 
 from bell_lab.cli import main
+
+PINNED_NUMPY = "2.4.6"
 
 GOLDEN = {
     "simulate/events_a.csv":
@@ -204,9 +207,14 @@ def hashes(tmp_path_factory):
                 for name in GOLDEN}
 
 
+def numpy_note() -> str:
+    return ("" if np.__version__ == PINNED_NUMPY else
+            f"pins made under numpy {PINNED_NUMPY}, this run uses {np.__version__}")
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_bytes_are_pinned(hashes, name):
-    assert hashes[name] == GOLDEN[name]
+    assert hashes[name] == GOLDEN[name], numpy_note()
 
 
 @pytest.mark.parametrize("label", ["systematic", "random", "window1", "window2"])
@@ -223,7 +231,8 @@ def test_lf_event_files_pair_to_the_pinned_bytes(tmp_path, monkeypatch, capsys,
     assert main(COMMANDS[label] + ["--out", label]) == 0
     capsys.readouterr()
     name = f"{label}/trials.csv"
-    assert hashlib.sha256(Path(name).read_bytes()).hexdigest() == GOLDEN[name]
+    assert (hashlib.sha256(Path(name).read_bytes()).hexdigest()
+            == GOLDEN[name]), numpy_note()
 
 
 @pytest.mark.parametrize("label", ["systematic", "random", "window1", "window2"])

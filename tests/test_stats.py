@@ -1,14 +1,17 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy import stats as sps
 
 from bell_lab.core import RngStream
-from bell_lab.stats import (DriftingDeviceSpec, bin_means, breakdown_demo,
-                            chebyshev_confidence, default_breakdown_spec,
-                            homogeneity_test, runs_test, table_homogeneity)
+from bell_lab.stats import (DriftingDeviceSpec, _chi2_sf, bin_means,
+                            breakdown_demo, chebyshev_confidence,
+                            default_breakdown_spec, homogeneity_test,
+                            runs_test, table_homogeneity)
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +77,111 @@ def test_chi_square_passes_a_steady_law():
 def test_table_homogeneity_drops_a_zero_column():
     r = table_homogeneity([[10, 0, 20], [15, 0, 12]], parts=2)
     stat, p_value, dof, _ = sps.chi2_contingency([[10, 20], [15, 12]])
-    assert r == {"statistic": stat, "p_value": p_value,
-                 "details": {"dof": 1, "parts": 2}}
+    assert (r["statistic"], r["details"]) == (stat, {"dof": dof, "parts": 2})
+    assert math.isclose(r["p_value"], p_value, rel_tol=1e-12)
+
+
+# scipy is the oracle for the three p-values, which stats computes with
+# numpy and the standard library alone
+
+@given(st.integers(1, 300), st.floats(0, 5000))
+def test_chi_square_tail_matches_scipy(dof, x):
+    expected = sps.chi2.sf(x, dof)
+    got = _chi2_sf(x, dof)
+    if expected > 1e-290:
+        assert math.isclose(got, expected, rel_tol=1e-12)
+    else:
+        assert got <= 1e-289
+
+
+@pytest.mark.parametrize("dof, x", [(2000, 3000.0), (5001, 5200.0),
+                                    (100_000, 99_000.0)])
+def test_chi_square_tail_rescales_past_float_range(dof, x):
+    # the scaled terms pass 2**900 here; unscaled, they would overflow
+    assert math.isclose(_chi2_sf(x, dof), sps.chi2.sf(x, dof), rel_tol=1e-12)
+
+
+@given(st.integers(1, 5).flatmap(lambda cols: st.lists(
+    st.lists(st.integers(0, 60), min_size=cols, max_size=cols),
+    min_size=1, max_size=4)))
+def test_table_homogeneity_matches_chi2_contingency(table):
+    kept = np.asarray(table)[:, np.sum(table, axis=0) > 0]
+    try:
+        stat, p_value, dof, _ = sps.chi2_contingency(kept)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as ours:
+            table_homogeneity(table)
+        if "zero element" in str(exc):
+            assert str(ours.value) == str(exc)
+        return
+    r = table_homogeneity(table)
+    assert (r["statistic"], r["details"]["dof"]) == (stat, dof)
+    assert math.isclose(r["p_value"], p_value, rel_tol=1e-12)
+
+
+def assert_ks_matches_scipy(values):
+    half = values.size // 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ref = sps.ks_2samp(values[:half], values[half:2 * half], method="exact")
+    r = homogeneity_test(values, "ks")
+    assert r["statistic"] == ref.statistic
+    if caught:
+        # scipy's exact sum rounded past 1 and it fell back to its
+        # asymptotic law: check the p-value, 1, against Hodges' exact
+        # alternating sum of binomials in integers
+        assert "Exact calculation unsuccessful" in str(caught[0].message)
+        h = round(r["statistic"] * half)
+        tail = Fraction(2 * sum((-1) ** (k + 1) * math.comb(2 * half, half - k * h)
+                                for k in range(1, half // h + 1)),
+                        math.comb(2 * half, half))
+        assert r["p_value"] == 1.0 and math.isclose(tail, 1.0, rel_tol=1e-12)
+    else:
+        assert r["p_value"] == ref.pvalue
+
+
+@given(st.integers(1, 400), st.integers(1, 6), st.integers(0, 3),
+       st.integers(0, 2**32 - 1))
+@example(7, 2, 0, 1)  # scipy's exact sum rounds past 1 here
+def test_ks_halves_match_scipy_exact(half, levels, shift, seed):
+    # few levels make heavy ties; levels = 6 draws continuous values
+    rng = np.random.default_rng(seed)
+    values = (rng.normal(size=2 * half) if levels == 6
+              else rng.integers(0, levels, size=2 * half).astype(float))
+    values[half:] += shift / 4
+    assert_ks_matches_scipy(values)
+
+
+@pytest.mark.parametrize("half, shift", [(10_001, 0.0), (12_500, 0.05),
+                                         (20_000, 0.02)])
+def test_ks_halves_stay_exact_past_scipys_auto_limit(half, shift):
+    # scipy's default turns asymptotic above 10,000 values a half; the
+    # halves test stays exact
+    values = RngStream(half).generator().normal(size=2 * half).round(1)
+    values[half:] += shift
+    assert_ks_matches_scipy(values)
+
+
+@given(st.lists(st.integers(-3, 3), min_size=2, max_size=300))
+def test_runs_test_tail_matches_scipy(values):
+    r = runs_test(values)
+    if "note" in r["details"]:
+        return
+    expected = min(1.0, 2.0 * sps.norm.sf(abs(r["statistic"])))
+    assert math.isclose(r["p_value"], expected, rel_tol=1e-12)
+
+
+def test_table_homogeneity_refuses_negative_or_no_counts():
+    for table in ([[3, -1], [2, 4]], [[0, 0], [0, 0]]):
+        with pytest.raises(ValueError):
+            table_homogeneity(table)
+
+
+def test_ks_halves_propagate_nan_as_scipy_does():
+    r = homogeneity_test([0.5, math.nan, 2.0, 3.0], "ks")
+    ref = sps.ks_2samp([0.5, math.nan], [2.0, 3.0])
+    assert math.isnan(ref.statistic) and math.isnan(ref.pvalue)
+    assert math.isnan(r["statistic"]) and math.isnan(r["p_value"])
 
 
 def test_table_homogeneity_refuses_a_part_with_no_counts():
