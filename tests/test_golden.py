@@ -55,15 +55,15 @@ GOLDEN = {
     "vongher/summary.json":
         "a192d39283d885d1b978281efbf8824a7a4a1581253928a09c4166b5f1695808",
     "breakdown/summary.json":
-        "55a534d5ebdbb61a05c3c188cd8bdba781eb0dd59589d7eec89e2abf0a2608a4",
+        "c61fb2649391116aee7af3c5664b8a34401bd247ec3e674e2427b09737aec5b1",
     "breakdown-spec/summary.json":
-        "a4ad76ae7061f2220ab01eb8ff069f469cbc1d66d63713863a75bcb44a186cfe",
+        "588cf93427f1fb803cf130d4e6c5aa3a954c6641991d5be7821492acd74c56b6",
     "homogeneity/summary.json":
         "7bc09844149830fd613885c6f300309bfc0018c54bac718219f5094ed6e3a79d",
     "homogeneity-raw/summary.json":
-        "2dbcf499af45a2909a36909707582ba6176f4e268891aa41538a03111deeb391",
+        "8c37ee429eafda70c624379f38edccd19a094409272b4245c05e13dbc8c6f24e",
     "homogeneity-setting/summary.json":
-        "e2f3c4d9b9860ee89ef8b2c1a356efc3ac34f804ac54622b5ba99af6e776a5fb",
+        "cdb079ef80d925a65c0b7e40d98708da5534f99eb779251808055032ade58833",
     "game-scripted/rounds.csv":
         "1399b04dc85d7de8ac740a23d0c16837a4c7c202372c49168df0d6ffed4df29e",
     "game-scripted/summary.json":
