@@ -11,15 +11,17 @@ before learning the settings produce violation statistics run after run?
   chosen settings, and the equal/unequal counters are scored against the
   d-based inequality and its CHSH form.
 
-A campaign run draws its count table directly, with the same law as
-the per-record samplers (generate_cfd_spreadsheet with gill_subsample,
-vongher_trials), which stay as the oracle.  Run i draws from
-stream.child(i), whose generator RngStream.child_generators seeds with
-every other run's in one hash pass, so a campaign depends on
-(seed, stream) alone; the runs' tables are then stacked into one
-CountTable over runs and scored by one estimator call.  A campaign
-returns the results dict that `bell-lab qrc-gill` / `qrc-vongher` write
-to summary.json, and its per_run.csv rows.
+A campaign run draws its count table directly, as one multinomial draw
+from the cell law of one row or pair (gill_cell_probs,
+vongher_cell_probs), which is the law of the per-record samplers
+(generate_cfd_spreadsheet with gill_subsample, vongher_trials); those
+stay as the oracle.  Run i draws from stream.child(i), whose generator
+RngStream.child_generators seeds with every other run's in one hash
+pass, so a campaign depends on (seed, stream) alone; the runs' tables
+are then stacked into one CountTable over runs and scored by one
+estimator call.  A campaign returns the results dict that
+`bell-lab qrc-gill` / `qrc-vongher` write to summary.json, and its
+per_run.csv rows.
 """
 
 from __future__ import annotations
@@ -68,17 +70,40 @@ _GILL_CELL = np.ravel_multi_index((_PICK_A, _PICK_B, *(
     for pick in (_PICK_A, 2 + _PICK_B))), (2, 2, 3, 3))
 
 
+def gill_cell_probs(dist: InstructionDist) -> np.ndarray:
+    """Law of one gill_subsample row over the cells of a CountTable on
+    coin labels (0, 1), shape (2, 2, 3, 3): instruction k lands in cell
+    _GILL_CELL[k, g] of coin group g with probability dist.probs[k] / 4.
+    No row is a no-count, so those cells hold 0."""
+    weights = np.repeat(np.asarray(dist.probs) / 4.0, 4)
+    return np.bincount(_GILL_CELL.ravel(), weights=weights,
+                       minlength=36).reshape(2, 2, 3, 3)
+
+
+def _draw(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Counts of one run: one multinomial draw of n trials from the cell
+    law probs, in its shape."""
+    return rng.multinomial(n, probs.ravel()).reshape(probs.shape)
+
+
+def _run_counts(probs: np.ndarray, n: int, runs: int, stream: RngStream) -> np.ndarray:
+    """Counts of runs campaign runs, shape (runs, *probs.shape): run i is
+    _draw(probs, n) on stream.child(i), with probs flattened once."""
+    flat = probs.ravel()
+    return np.stack([rng.multinomial(n, flat) for rng in
+                     stream.child_generators(runs)]).reshape(runs, *probs.shape)
+
+
 def gill_table(dist: InstructionDist, n_rows: int,
                rng: np.random.Generator) -> CountTable:
     """Count table of one coin-subsample run, with the law of gill_subsample
-    on generate_cfd_spreadsheet(n_rows, dist).  Draw order: the count of
-    each instruction, then the coin groups of each instruction's rows."""
+    on generate_cfd_spreadsheet(n_rows, dist).  Draw order: one multinomial
+    draw of n_rows rows from gill_cell_probs(dist), which by aggregation is
+    the law of drawing each instruction's count and then splitting it over
+    the four fair coin groups."""
     if n_rows < 0:
         raise ValueError("n_rows must be >= 0")
-    per_atom = rng.multinomial(n_rows, dist.probs)
-    groups = rng.multinomial(per_atom, [0.25] * 4)
-    counts = np.bincount(_GILL_CELL.ravel(), weights=groups.ravel(), minlength=36)
-    return CountTable((0, 1), (0, 1), counts.astype(np.int64).reshape(2, 2, 3, 3))
+    return CountTable((0, 1), (0, 1), _draw(gill_cell_probs(dist), n_rows, rng))
 
 
 # the per_run.csv header of each campaign; its rows follow it
@@ -114,9 +139,10 @@ def gill_campaign(dist: InstructionDist, n_rows: int, runs: int,
     all runs are scored at once.  Returns (results, per_run.csv rows)."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    est = chsh(CountTable((0, 1), (0, 1), np.stack(
-        [gill_table(dist, n_rows, rng).counts
-         for rng in stream.child_generators(runs)])))
+    if n_rows < 0:
+        raise ValueError("n_rows must be >= 0")
+    est = chsh(CountTable((0, 1), (0, 1), _run_counts(
+        gill_cell_probs(dist), n_rows, runs, stream)))
     violated = est["s_value"] > CHSH_BOUND
     rows = zip(range(runs), plain_list(est["s_value"]),
                violated.astype(int).tolist(), *(n.tolist() for n in est["sizes"]))
@@ -205,9 +231,8 @@ def vongher_table(source, n_pairs: int, rng: np.random.Generator) -> CountTable:
     n_pairs trials from vongher_cell_probs(source), the law of vongher_trials."""
     if n_pairs < 0:
         raise ValueError("n_pairs must be >= 0")
-    probs = vongher_cell_probs(source)
     return CountTable(SETTINGS_A, SETTINGS_B,
-                      rng.multinomial(n_pairs, probs.ravel()).reshape(probs.shape))
+                      _draw(vongher_cell_probs(source), n_pairs, rng))
 
 
 def vongher_campaign(source, runs: int, n_pairs: int, stream: RngStream) -> tuple:
@@ -218,11 +243,8 @@ def vongher_campaign(source, runs: int, n_pairs: int, stream: RngStream) -> tupl
         raise ValueError("runs must be >= 1")
     if n_pairs < 0:
         raise ValueError("n_pairs must be >= 0")
-    probs = vongher_cell_probs(source).ravel()
-    counts = np.stack([rng.multinomial(n_pairs, probs)
-                       for rng in stream.child_generators(runs)])
-    counters = vongher_counters(CountTable(SETTINGS_A, SETTINGS_B,
-                                           counts.reshape(runs, 2, 2, 3, 3)))
+    counters = vongher_counters(CountTable(SETTINGS_A, SETTINGS_B, _run_counts(
+        vongher_cell_probs(source), n_pairs, runs, stream)))
     bell = bell_counter_test(counters)
     s = chsh_from_counters(counters)["s_value"]
     violated = s > CHSH_BOUND

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,6 +135,8 @@ class InstructionDist:
         p = np.asarray(self.probs, dtype=float)
         if p.shape != (16,):
             raise ValueError("need exactly 16 probabilities, one per instruction")
+        if not np.isfinite(p).all():
+            raise ValueError("probabilities must be finite")
         if (p < 0).any() or abs(p.sum() - 1.0) > 1e-9:
             raise ValueError("probabilities must be >= 0 and sum to 1")
         object.__setattr__(self, "probs", tuple(p / p.sum()))
@@ -319,8 +322,47 @@ class ContextualParams:
             raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
         if not 0 <= self.tau0 < math.inf:
             raise ValueError(f"tau0 must be finite and >= 0, got {self.tau0}")
-        object.__setattr__(self, "angles_a", tuple(float(t) for t in self.angles_a))
-        object.__setattr__(self, "angles_b", tuple(float(t) for t in self.angles_b))
+        for side in ("angles_a", "angles_b"):
+            angles = tuple(float(t) for t in getattr(self, side))
+            if not all(math.isfinite(t) for t in angles):
+                raise ValueError(f"{side} must be finite, got {angles}")
+            object.__setattr__(self, side, angles)
+
+
+# trials per screening chunk: a chunk's temporaries stay in cache
+_SCREEN_CHUNK = 32768
+
+
+def _readings(phi, theta: float, lam, out) -> None:
+    """out[i] = sign(cos c) if |cos c| >= lam[i], else 0, c = 2 (phi[i] - theta).
+
+    Each chunk decides from a float32 cosine and recomputes the float64
+    cosine only for trials within tol of either boundary (cos c = 0 or
+    |cos c| = lam).  The float32 value is off by at most 2**-24 |c| from
+    rounding c, plus under 1e-7 from numpy's float32 cos.  As |c| < 2 (7 +
+    |theta|), tol is at least 4 * 2**-24 |c| + 1e-4, and every trial
+    outside it lands as the float64 cosine would put it.  Past |theta| ~
+    2**21, tol exceeds 1 and the whole chunk takes the float64 cosine.
+    """
+    tol = 1e-4 + 2.0 ** -21 * (7.0 + abs(theta))
+    for lo in range(0, phi.size, _SCREEN_CHUNK):
+        hi = lo + _SCREEN_CHUNK
+        c = phi[lo:hi] - theta
+        c *= 2.0
+        level, sign = lam[lo:hi], out[lo:hi]
+        near = slice(None)
+        if tol < 1.0:
+            cos32 = np.cos(c.astype(np.float32))
+            np.sign(cos32, out=sign, casting="unsafe")
+            mag = np.abs(cos32, out=cos32)
+            gap = mag - level
+            sign *= gap >= 0.0
+            near = np.flatnonzero((mag <= tol) | (np.abs(gap, out=gap) <= tol))
+            c, level = c[near], level[near]
+        cos = np.cos(c, out=c)
+        exact = np.sign(cos, out=np.empty(cos.size, np.int8), casting="unsafe")
+        exact *= np.abs(cos, out=cos) >= level
+        sign[near] = exact
 
 
 def contextual_batch(x: int, y: int, n: int, params: ContextualParams,
@@ -331,22 +373,30 @@ def contextual_batch(x: int, y: int, n: int, params: ContextualParams,
     side-B instrument noise.  The side-A record is a function of
     (phi, lambda_a, x) alone, so replaying the stream with a different y
     reproduces it bit for bit.
+
+    Each reading cos 2(phi - theta) is screened in float32 (_readings):
+    only trials whose float32 cosine lies within its error bound of a
+    decision boundary take the float64 cosine, and the others provably
+    decide as it would, so the records are bit for bit those of deciding
+    every trial in float64.
     """
+    try:
+        x, y, n = operator.index(x), operator.index(y), operator.index(n)
+    except TypeError:
+        raise ValueError(f"setting labels and n must be integers, "
+                         f"got ({x!r}, {y!r}, {n!r})") from None
     if not (0 <= x < len(params.angles_a) and 0 <= y < len(params.angles_b)):
         raise ValueError(f"setting labels ({x}, {y}) have no analyzer angle")
-    theta_x = params.angles_a[x]
-    theta_y = params.angles_b[y]
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     phi = rng.random(n) * 2.0
     phi *= np.pi
     out = []
-    for theta in (theta_x, theta_y):  # in place: no float temporaries
+    for theta in (params.angles_a[x], params.angles_b[y]):
         lam = rng.random(n)  # side A's noise, then side B's
         lam **= params.gamma
         lam *= params.tau0
-        c = phi - theta
-        np.cos(np.multiply(c, 2.0, out=c), out=c)
-        sign = np.sign(c, out=np.empty(n, np.int8), casting="unsafe")
-        sign *= np.abs(c, out=c) >= lam
-        out.append(sign)
+        out.append(np.empty(n, np.int8))
+        _readings(phi, theta, lam, out[-1])
     out[1] *= -1  # side B reports the opposite sign
     return tuple(out)

@@ -4,16 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from bell_lab.core import OUTCOMES, RngStream, tabulate
+from bell_lab.core import OUTCOMES, RngStream, Trials, tabulate
 from bell_lab.estimators import (bell_counter_test, chsh, chsh_from_counters,
                                  vongher_counters)
 from bell_lab.randi import (CHSH_BOUND, GILL_FIELDS,
                             VONGHER_ANGLE_UNIT, VONGHER_FIELDS, draw_vongher_settings,
-                            gill_campaign, gill_subsample, gill_table,
+                            gill_campaign, gill_cell_probs, gill_subsample,
+                            gill_table,
                             measure_balls, QUANTUM_SOURCE, qrc_win_bound,
                             vongher_campaign, vongher_cell_probs,
                             vongher_table, vongher_trials)
-from bell_lab.sources import (SETTINGS_A, SETTINGS_B, BallTable, BallVariant,
+from bell_lab.sources import (ATOMS, SETTINGS_A, SETTINGS_B, BallTable,
+                              BallVariant,
                               InstructionDist, generate_cfd_spreadsheet,
                               generate_tennis_balls, missing_pairs,
                               partial_anticorr, strict)
@@ -112,6 +114,8 @@ def test_campaign_report_optional_fields():
 def test_a_negative_run_size_is_refused():
     with pytest.raises(ValueError, match="n_rows must be >= 0"):
         gill_table(InstructionDist.uniform(), -1, rng())
+    with pytest.raises(ValueError, match="n_rows must be >= 0"):
+        gill_campaign(InstructionDist.uniform(), -1, 1, RngStream(0))
     with pytest.raises(ValueError, match="n_pairs must be >= 0"):
         vongher_table(strict(), -1, rng())
     with pytest.raises(ValueError, match="n_pairs must be >= 0"):
@@ -305,6 +309,42 @@ def group_counts(est):
     chsh estimate: n (1 + e) / 2 and n (1 - e) / 2."""
     return [round(n * (1 + s * e) / 2) for e, n in
             zip(est["terms"].values(), est["sizes"]) for s in (1, -1)]
+
+
+def gill_law(dist):
+    """Cell law from generate_cfd_spreadsheet's instruction and
+    gill_subsample's two fair coins: a row holding instruction k, in coin
+    group (pick_a, pick_b), reads A column pick_a and B column pick_b."""
+    law = np.zeros((2, 2, 3, 3))
+    for atom, p in zip(ATOMS, dist.probs):
+        for pick_a, pick_b in itertools.product((0, 1), repeat=2):
+            row = Trials([pick_a], [pick_b], [atom[pick_a]], [atom[2 + pick_b]])
+            law += p / 4 * tabulate(row, (0, 1), (0, 1)).counts
+    return law
+
+
+GILL_DISTS = (InstructionDist.uniform(), InstructionDist.positive_boundary(),
+              InstructionDist.point_mass((1, -1, -1, 1)),
+              InstructionDist(tuple(np.random.default_rng(24).dirichlet([0.5] * 16))))
+
+
+@pytest.mark.parametrize("dist", GILL_DISTS, ids=("uniform", "boundary",
+                                                  "point-mass", "dirichlet"))
+def test_gill_cell_probs_equal_the_subsample_law(dist):
+    probs = gill_cell_probs(dist)
+    assert probs.shape == (2, 2, 3, 3)
+    np.testing.assert_allclose(probs, gill_law(dist), rtol=0, atol=1e-16)
+    assert probs.sum() == pytest.approx(1.0, abs=1e-15)
+    no_count = np.zeros((3, 3), bool)
+    no_count[SLOT[0], :] = no_count[:, SLOT[0]] = True
+    assert np.all(probs[:, :, no_count] == 0)
+
+
+def test_gill_table_is_one_multinomial_from_the_cell_law():
+    dist = GILL_DISTS[3]
+    table = gill_table(dist, 500, rng(25))
+    want = rng(25).multinomial(500, gill_cell_probs(dist).ravel())
+    assert np.array_equal(table.counts.ravel(), want)
 
 
 def test_gill_tables_match_per_record_oracle():

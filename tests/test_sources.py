@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from bell_lab.core import RngStream
@@ -159,6 +159,14 @@ def test_instruction_dist_validation():
     assert sum(u.probs) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_instruction_dist_refuses_non_finite_probabilities(bad):
+    with pytest.raises(ValueError, match="finite"):
+        InstructionDist((0.5, bad) + (0.5 / 14,) * 14)
+    with pytest.raises(ValueError, match="finite"):
+        InstructionDist.from_mapping({(1, 1, 1, 1): bad})
+
+
 def test_point_mass_and_mapping():
     atom = (1, 1, 1, -1)
     d = InstructionDist.point_mass(atom)
@@ -289,6 +297,31 @@ def test_contextual_validation():
         ContextualParams(tau0=-0.1)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_contextual_params_refuse_non_finite_angles(bad):
+    with pytest.raises(ValueError, match="angles_a must be finite"):
+        ContextualParams(angles_a=(bad, 0.0))
+    with pytest.raises(ValueError, match="angles_b must be finite"):
+        ContextualParams(angles_b=(0.0, bad))
+
+
+@pytest.mark.parametrize("x, y, n", [(0.5, 0, 10), (0, 1.0, 10), (0, 0, 10.0),
+                                     (0, 0, "10"), (None, 0, 10)])
+def test_contextual_batch_refuses_non_integer_arguments(x, y, n):
+    with pytest.raises(ValueError, match="must be integers"):
+        contextual_batch(x, y, n, ContextualParams(), rng())
+
+
+def test_contextual_batch_refuses_out_of_range_labels_and_negative_n():
+    with pytest.raises(ValueError, match="no analyzer angle"):
+        contextual_batch(2, 0, 10, ContextualParams(), rng())
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        contextual_batch(0, 0, -1, ContextualParams(), rng())
+    a, b = contextual_batch(np.int64(1), np.int8(0), np.int32(3),
+                            ContextualParams(), rng())
+    assert a.shape == b.shape == (3,)
+
+
 def test_contextual_outcomes_are_ternary():
     a, b = contextual_batch(0, 0, 2000, ContextualParams(), rng(12))
     assert set(np.unique(a)) <= {-1, 0, 1}
@@ -322,3 +355,86 @@ def test_contextual_aligned_analyzers_anticorrelate_exactly():
     assert both.any()
     assert np.all(a[both] * b[both] == -1)
 
+
+
+def contextual_batch_float64(x, y, n, params, rng):
+    """contextual_batch deciding every trial from its float64 cosine: the
+    oracle of the float32 screen."""
+    phi = rng.random(n) * 2.0
+    phi *= np.pi
+    out = []
+    for theta in (params.angles_a[x], params.angles_b[y]):
+        lam = rng.random(n)
+        lam **= params.gamma
+        lam *= params.tau0
+        c = phi - theta
+        np.cos(np.multiply(c, 2.0, out=c), out=c)
+        sign = np.sign(c, out=np.empty(n, np.int8), casting="unsafe")
+        sign *= np.abs(c, out=c) >= lam
+        out.append(sign)
+    out[1] *= -1
+    return tuple(out)
+
+
+def boundary_tau0(seed, n, params, x, trial, nudge):
+    """A tau0 that puts side A's threshold on trial's |cos c|, moved by
+    nudge float64 steps: the screen's hardest case."""
+    r = rng(seed)
+    phi = r.random(n) * 2.0
+    phi *= np.pi
+    c = phi[trial] - params.angles_a[x]
+    c *= 2.0
+    tau0 = abs(np.cos(c)) / r.random(n)[trial] ** params.gamma
+    for _ in range(abs(nudge)):
+        tau0 = np.nextafter(tau0, math.copysign(math.inf, nudge))
+    return float(tau0) if math.isfinite(tau0) else 1.0
+
+
+CHUNK = 32768
+ANGLES = st.one_of(st.floats(-10.0, 10.0),
+                   st.sampled_from([0.0, math.pi / 4, 3 * math.pi / 8, 1e6,
+                                    -1e6, 1e12, -1e12, 5e7, 1e300]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32), x=st.integers(0, 1), y=st.integers(0, 1),
+       n=st.one_of(st.sampled_from([0, 1, 2, CHUNK - 1, CHUNK, CHUNK + 1]),
+                   st.integers(0, 3 * CHUNK)),
+       gamma=st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(1e-3, 50.0)),
+       tau0=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 3.0)),
+       angles=st.tuples(ANGLES, ANGLES, ANGLES, ANGLES),
+       boundary=st.booleans(), nudge=st.integers(-2, 2), trial=st.integers(0))
+def test_screened_contextual_batch_is_bitwise_the_float64_one(
+        seed, x, y, n, gamma, tau0, angles, boundary, nudge, trial):
+    params = ContextualParams(gamma, tau0, angles[:2], angles[2:])
+    if boundary and n:
+        params = ContextualParams(gamma, boundary_tau0(
+            seed, n, params, x, trial % n, nudge), angles[:2], angles[2:])
+    got = contextual_batch(x, y, n, params, rng(seed))
+    want = contextual_batch_float64(x, y, n, params, rng(seed))
+    for g, w in zip(got, want):
+        assert g.dtype == np.int8 and np.array_equal(g, w)
+
+
+def test_threshold_on_the_reading_itself_decides_as_float64():
+    # tau0 set so that trial 0's threshold is its own |cos c|, and a few
+    # float64 steps either side: only the float64 cosine tells these apart
+    fired = set()
+    for nudge in range(-3, 4):
+        q = ContextualParams(tau0=boundary_tau0(3, 100, ContextualParams(),
+                                                0, 0, nudge))
+        got = contextual_batch(0, 0, 100, q, rng(3))
+        want = contextual_batch_float64(0, 0, 100, q, rng(3))
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        fired.add(bool(got[0][0]))
+    assert fired == {True, False}
+
+
+@pytest.mark.parametrize("scale", [1.0, 10.0, 1e3, 1e5, 1e6, 8e6])
+def test_float32_cos_error_is_inside_the_screen_bound(scale):
+    # the screen assumes numpy's float32 cos is within 1e-7 of the true
+    # cosine of its float32 argument; its tol allows 1e-4
+    c = (rng(int(scale)).random(200_000) * 2.0 - 1.0) * scale
+    c32 = c.astype(np.float32)
+    err = np.abs(np.cos(c32).astype(np.float64) - np.cos(c32.astype(np.float64)))
+    assert err.max() < 1e-7
