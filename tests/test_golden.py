@@ -47,7 +47,7 @@ GOLDEN = {
     "eberhard/summary.json":
         "c1cd50bf29f023503ecede5dd8ff322108bc0ae4628d0aca203a845869b8c4fa",
     "gill/per_run.csv":
-        "0ca2d31ae00491b74a148a166e8fdc8c0441d8300a4ad9b573bfb3ff9180e987",
+        "72150d44c2c892f408c5d0893b0f5761df82f502dce4b590b5e74b125982fb0d",
     "gill/summary.json":
         "659148db514b5dd7827b41bb5a09cddc0707029e0408412b6ce69bacfbe5896f",
     "vongher/per_run.csv":
