@@ -333,8 +333,9 @@ class ContextualParams:
 _SCREEN_CHUNK = 32768
 
 
-def _readings(phi, theta: float, lam, out) -> None:
-    """out[i] = sign(cos c) if |cos c| >= lam[i], else 0, c = 2 (phi[i] - theta).
+def _readings(phi, theta: float, lam) -> np.ndarray:
+    """int8 outcomes: sign(cos c) if |cos c| >= lam[i], else 0, where
+    c = 2 (phi[i] - theta).
 
     Each chunk decides from a float32 cosine and recomputes the float64
     cosine only for trials within tol of either boundary (cos c = 0 or
@@ -345,6 +346,7 @@ def _readings(phi, theta: float, lam, out) -> None:
     2**21, tol exceeds 1 and the whole chunk takes the float64 cosine.
     """
     tol = 1e-4 + 2.0 ** -21 * (7.0 + abs(theta))
+    out = np.empty(phi.size, np.int8)
     for lo in range(0, phi.size, _SCREEN_CHUNK):
         hi = lo + _SCREEN_CHUNK
         c = phi[lo:hi] - theta
@@ -363,6 +365,7 @@ def _readings(phi, theta: float, lam, out) -> None:
         exact = np.sign(cos, out=np.empty(cos.size, np.int8), casting="unsafe")
         exact *= np.abs(cos, out=cos) >= level
         sign[near] = exact
+    return out
 
 
 def contextual_batch(x: int, y: int, n: int, params: ContextualParams,
@@ -396,7 +399,6 @@ def contextual_batch(x: int, y: int, n: int, params: ContextualParams,
         lam = rng.random(n)  # side A's noise, then side B's
         lam **= params.gamma
         lam *= params.tau0
-        out.append(np.empty(n, np.int8))
-        _readings(phi, theta, lam, out[-1])
+        out.append(_readings(phi, theta, lam))
     out[1] *= -1  # side B reports the opposite sign
     return tuple(out)

@@ -10,13 +10,11 @@ from bell_lab.estimators import (bell_counter_test, chsh, chsh_from_counters,
 from bell_lab.randi import (CHSH_BOUND, GILL_FIELDS,
                             VONGHER_ANGLE_UNIT, VONGHER_FIELDS, draw_vongher_settings,
                             gill_campaign, gill_cell_probs, gill_subsample,
-                            gill_table,
-                            measure_balls, QUANTUM_SOURCE, qrc_win_bound,
+                            gill_table, measure_balls, QUANTUM_SOURCE, qrc_win_bound,
                             vongher_campaign, vongher_cell_probs,
                             vongher_table, vongher_trials)
 from bell_lab.sources import (ATOMS, SETTINGS_A, SETTINGS_B, BallTable,
-                              BallVariant,
-                              InstructionDist, generate_cfd_spreadsheet,
+                              BallVariant, InstructionDist, generate_cfd_spreadsheet,
                               generate_tennis_balls, missing_pairs,
                               partial_anticorr, strict)
 

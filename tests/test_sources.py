@@ -356,7 +356,6 @@ def test_contextual_aligned_analyzers_anticorrelate_exactly():
     assert np.all(a[both] * b[both] == -1)
 
 
-
 def contextual_batch_float64(x, y, n, params, rng):
     """contextual_batch deciding every trial from its float64 cosine: the
     oracle of the float32 screen."""
