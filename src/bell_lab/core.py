@@ -218,10 +218,13 @@ class RngStream:
         return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
+# at 3a + b + 4: the flat cell of outcomes (a, b) in a table indexed as OUTCOMES
+_CELL = np.array([4, 5, 3, 7, 8, 6, 1, 2, 0], np.int8)
+
+
 def _outcome_cell(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The flat cell of each outcome pair in a (3, 3) table indexed as
-    OUTCOMES, where outcome v sits at (v + 2) % 3."""
-    return 3 * ((a + 2) % 3) + (b + 2) % 3
+    """The flat cell of each outcome pair in a table indexed as OUTCOMES."""
+    return _CELL[3 * a + b + 4]
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,20 +255,33 @@ class CountTable:
         return np.zeros(self.counts.shape[:-4] + (3, 3), np.int64)
 
 
+# undeclared labels that span fewer values than this skip the sort
+LABEL_SPAN_LIMIT = 2**16
+
+
+def _grid(labels: np.ndarray, declared):
+    """(grid, positions, inside): the sorted declared or else observed labels,
+    where each label falls on them, and whether they hold it there."""
+    lo = int(labels.min()) if labels.size else 0
+    if declared is None and labels.size and int(labels.max()) - lo < LABEL_SPAN_LIMIT:
+        seen = np.bincount(labels - lo) > 0
+        return np.flatnonzero(seen) + lo, (np.cumsum(seen) - 1)[labels - lo], True
+    grid = np.unique(labels if declared is None else np.array(declared, np.int64))
+    positions = np.searchsorted(grid, labels)
+    return grid, positions, (grid.take(positions, mode="clip") == labels if grid.size
+                             else np.zeros(len(labels), bool))
+
+
 def tabulate(trials: Trials,
              settings_a: Sequence[int] | None = None,
              settings_b: Sequence[int] | None = None) -> CountTable:
     """The CountTable of trials over the observed (or supplied) setting
     labels, sorted; its counts sum to the number of trials."""
     sa, sb = trials.setting_a, trials.setting_b
-    grid_a = np.unique(sa if settings_a is None else np.array(settings_a, np.int64))
-    grid_b = np.unique(sb if settings_b is None else np.array(settings_b, np.int64))
-    pos_a, pos_b = np.searchsorted(grid_a, sa), np.searchsorted(grid_b, sb)
-    # a label is on its grid when the grid holds it at its sorted position
-    inside = ((grid_a.take(pos_a, mode="clip") == sa)
-              & (grid_b.take(pos_b, mode="clip") == sb)
-              if grid_a.size and grid_b.size else np.zeros(len(sa), bool))
-    if not inside.all():
+    grid_a, pos_a, inside_a = _grid(sa, settings_a)
+    grid_b, pos_b, inside_b = _grid(sb, settings_b)
+    inside = inside_a & inside_b
+    if not np.all(inside):
         k = int(np.argmin(inside))
         raise ValueError(f"trial setting pair {(int(sa[k]), int(sb[k]))} "
                          "outside the declared grid")
@@ -307,21 +323,21 @@ def write_rows(path, header, rows) -> None:
 # runs slower, and chunks of 16384 rows wrote faster than 65536
 WRITE_CHUNK_ROWS = 16384
 
-# 10, 100, ..., 10**19: a uint64 magnitude m has 1 + (powers <= m) digits
-_POWERS_OF_TEN = np.uint64(10) ** np.arange(1, 20, dtype=np.uint64)
-
 
 def _csv_rows(block: np.ndarray) -> np.ndarray:
-    """The CRLF-ended CSV rows of a 2-D int64 block, as uint8 bytes."""
+    """The CRLF-ended CSV rows of a non-empty 2-D int64 block, as uint8
+    bytes; one compare per power of ten counts each cell's digits."""
     rows, columns = block.shape
     cells = block.ravel()
     negative = cells < 0
     # np.abs wraps int64 min to itself, which as uint64 is 2**63
     magnitude = np.abs(cells).view(np.uint64)
-    digits = np.searchsorted(_POWERS_OF_TEN, magnitude, "right") + 1
     # every cell is followed by a comma, the last of a row by CR LF
     separator = np.tile([1] * (columns - 1) + [2], rows)
-    width = digits + negative + separator
+    width = separator + negative + 1
+    places = len(str(int(magnitude.max())))  # digits of the largest magnitude
+    for k in range(1, places):
+        width += magnitude >= 10**k
     end = np.cumsum(width)
     out = np.full(end[-1], ord(","), np.uint8)
     row_end = end[columns - 1::columns]
@@ -329,16 +345,14 @@ def _csv_rows(block: np.ndarray) -> np.ndarray:
     out[row_end - 1] = ord("\n")
     signed = np.flatnonzero(negative)
     out[end[signed] - width[signed]] = ord("-")
-    # one pass per digit place, last digit first, over the cells that
-    # still have digits left
     place = end - separator
-    while place.size:
+    for _ in range(places - 1):  # last digit first, over cells with digits left
         place -= 1
         quotient = magnitude // np.uint64(10)
-        digit = magnitude - quotient * np.uint64(10)
-        out[place] = digit.astype(np.uint8) + ord("0")
+        out[place] = (magnitude - quotient * np.uint64(10)).astype(np.uint8) + ord("0")
         left = np.flatnonzero(quotient)
         place, magnitude = place[left], quotient[left]
+    out[place - 1] = magnitude.astype(np.uint8) + ord("0")
     return out
 
 
@@ -387,11 +401,11 @@ def _raise_at_file_line(path, usecols) -> None:
 
 
 def read_columns(path, header) -> list:
-    """One int64 array per column named in header, found by name in the
-    file's header line.  A UTF-8 BOM is skipped, LF and CRLF line ends
-    both read, blank lines are skipped and a quoted integer reads as the
-    integer; a missing or repeated column, a short row or a cell that is
-    not an int64 is a ValueError, which names the file line of a bad row."""
+    """One int64 array per column named in header, each its own copy, found
+    by name in the file's header line.  A UTF-8 BOM is skipped, LF and CRLF
+    line ends both read, blank lines are skipped and a quoted integer reads
+    as the integer; a missing or repeated column, a short row or a cell that
+    is not an int64 is a ValueError, which names the file line of a bad row."""
     with open(path, encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         names = next(reader, [])
@@ -408,7 +422,7 @@ def read_columns(path, header) -> list:
     except ValueError:
         _raise_at_file_line(path, usecols)
         raise
-    return list(block.T.copy())
+    return [block[:, j].copy() for j in range(block.shape[1])]
 
 
 def write_events(path, events: Events) -> None:

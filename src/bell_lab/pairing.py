@@ -61,27 +61,37 @@ def pair_random(events_a: Events, events_b: Events, m: int,
 
 
 def _in_time_order(events: Events):
-    """(window, setting, outcome) sorted by window, plus one trailing row
-    for an absent partner that index -1 reaches."""
+    """(window, setting, outcome) sorted by window, stably; the columns of
+    a stream already in window order come back as they are, uncopied."""
+    if (events.window[1:] >= events.window[:-1]).all():
+        return events.window, events.setting, events.outcome
     order = np.argsort(events.window, kind="stable")
-    return (np.append(events.window[order], np.iinfo(np.int64).max),
-            np.append(events.setting[order], UNPAIRED_SETTING),
-            np.append(events.outcome[order], NO_COUNT))
+    return events.window[order], events.setting[order], events.outcome[order]
 
 
 def _reach(wa: np.ndarray, wb: np.ndarray, c: int):
     """(lo, hi) per side-A window w: the sorted side-B windows in
-    [w - c, w + c] are wb[lo:hi].
-
-    The windows are compared as uint64 keys that keep their order, and
-    the shifts by c saturate at either end instead of wrapping.
-    """
-    sign = np.uint64(1 << 63)
-    ka, kb = wa.view(np.uint64) ^ sign, wb.view(np.uint64) ^ sign
-    c = np.uint64(c)
-    lo = np.searchsorted(kb, np.where(ka < c, 0, ka - c), "left")
-    hi = np.searchsorted(kb, np.where(ka > ~c, ~np.uint64(0), ka + c), "right")
+    [w - c, w + c] are wb[lo:hi].  One uint64 key buffer, which wraps,
+    holds either bound; past either end of int64, lo is 0 or hi len(wb)."""
+    key = wa.view(np.uint64) - np.uint64(c)
+    lo = np.searchsorted(wb, key.view(np.int64), "left")
+    lo[wa < np.iinfo(np.int64).min + c] = 0
+    key += np.uint64(2 * c % 2**64)
+    hi = np.searchsorted(wb, key.view(np.int64), "right")
+    hi[wa > np.iinfo(np.int64).max - c] = len(wb)
     return lo, hi
+
+
+# side-A events at a time in the greedy loop; 16384 kept 1.6 MB of ints
+GREEDY_CHUNK = 4096
+
+
+def _take(column: np.ndarray, index: np.ndarray, absent: int) -> np.ndarray:
+    """column[index], with absent where index is -1."""
+    out = (column.take(index, mode="clip") if len(column)
+           else np.empty(len(index), column.dtype))
+    out[index < 0] = absent
+    return out
 
 
 def pair_time_window(events_a: Events, events_b: Events,
@@ -93,48 +103,56 @@ def pair_time_window(events_a: Events, events_b: Events,
     on either side still produce a trial, with the absent partner
     recorded as outcome 0 under setting label -1.  Trials come out
     ordered by the window index of their earliest member, side A first
-    on ties.
+    on ties.  No stream in window order is copied, and each temporary
+    goes after its last use.
     """
     if not 0 < width < math.inf:
         raise ValueError(f"width must be finite and > 0, got {width}")
     wa, sa, oa = _in_time_order(events_a)
     wb, sb, ob = _in_time_order(events_b)
-    na, nb = len(events_a), len(events_b)
-    ta, tb = wa[:-1], wb[:-1]  # without the trailing row
+    na, nb = len(wa), len(wb)
     # windows are integers: |w_a - w_b| < width is |w_a - w_b| <= c, and
     # no two windows lie further apart than the span of them all
-    windows = np.concatenate([ta, tb])
-    span = int(windows.max()) - int(windows.min()) if windows.size else 0
-    c = min(math.ceil(width) - 1, span)
-    lo, hi = _reach(ta, tb, c)
+    ends = [int(w[k]) for w in (wa, wb) if len(w) for k in (0, -1)]
+    c = min(math.ceil(width) - 1, max(ends) - min(ends) if ends else 0)
+    lo, hi = _reach(wa, wb, c)
     if c == 0:
         # equal windows only: the k-th side-A event of a window takes
         # the k-th side-B event of that window, if there is one
-        partner = lo + np.arange(na) - np.searchsorted(ta, ta, "left")
+        partner = lo - np.searchsorted(wa, wa, "left") + np.arange(na)
         partner[partner >= hi] = -1
     else:
         # each side-A event takes the first side-B event of its range
         # that is not taken yet; every taken one lies before j
-        partner = []  # per side-A event: its side-B index, or -1
-        j = 0
-        for first, stop in zip(lo.tolist(), hi.tolist()):
-            if j < first:
-                j = first
-            if j < stop:
-                partner.append(j)
-                j += 1
-            else:
-                partner.append(-1)
-        partner = np.array(partner, dtype=np.int64)
-    times_taken = np.bincount(partner[partner >= 0], minlength=nb)
-    lone_b = np.flatnonzero(times_taken == 0)
+        partner, j = np.empty(na, np.int64), 0
+        for start in range(0, na, GREEDY_CHUNK):
+            end, chunk = start + GREEDY_CHUNK, []
+            for first, stop in zip(lo[start:end].tolist(), hi[start:end].tolist()):
+                if j < first:
+                    j = first
+                if j < stop:
+                    chunk.append(j)
+                    j += 1
+                else:
+                    chunk.append(-1)
+            partner[start:end] = chunk
+    del lo, hi
+    taken = np.zeros(nb + 1, bool)  # the last slot catches index -1
+    taken[partner] = True
+    lone_b = np.flatnonzero(~taken[:nb])
     # rows: every side-A event with its partner, then the lone side-B
-    # events; the sort below is stable, so equal keys keep this order
-    ia = np.concatenate([np.arange(na), np.full(len(lone_b), -1)])
-    ib = np.concatenate([partner, lone_b])
-    order = np.lexsort((ia < 0, np.minimum(wa[ia], wb[ib])))
-    ia, ib = ia[order], ib[order]
-    return Trials(sa[ia], sb[ib], oa[ia], ob[ib])
+    # events, keyed by their earliest window; the sort is stable, so
+    # side A comes first on ties
+    key = np.minimum(_take(wb, partner, np.iinfo(np.int64).max), wa)
+    order = np.argsort(np.concatenate([key, wb[lone_b]]), kind="stable")
+    del key
+    ib = np.concatenate([partner, lone_b]).take(order)
+    del partner, lone_b
+    order[order >= na] = -1  # each row's side-A index
+    setting_a, a = _take(sa, order, UNPAIRED_SETTING), _take(oa, order, NO_COUNT)
+    del order
+    return Trials(setting_a, _take(sb, ib, UNPAIRED_SETTING), a,
+                  _take(ob, ib, NO_COUNT))
 
 
 def pair_counting_unmatched(pair, events_a: Events, events_b: Events):
@@ -148,9 +166,7 @@ def pair_counting_unmatched(pair, events_a: Events, events_b: Events):
     t = pair(*(Events(e.window, np.arange(len(e)), e.outcome) for e in sides))
     index = (t.setting_a, t.setting_b)
     paired = (index[0] >= 0) & (index[1] >= 0)
-    # index -1, an absent partner, reaches the appended label
-    labels = [np.append(e.setting, UNPAIRED_SETTING)[i]
-              for e, i in zip(sides, index)]
+    labels = [_take(e.setting, i, UNPAIRED_SETTING) for e, i in zip(sides, index)]
     return (Trials(*labels, t.a, t.b),
             *(len(e) - np.count_nonzero(np.bincount(i[paired], minlength=len(e)))
               for e, i in zip(sides, index)))

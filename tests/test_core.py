@@ -18,6 +18,9 @@ from bell_lab.core import (EVENT_FIELDS, OUTCOMES, TRIAL_FIELDS, CountTable,
                            write_events, write_trials)
 
 
+INT64 = np.iinfo(np.int64)
+
+
 def trials_of(*rows):
     """Trials from (setting_a, setting_b, a, b) rows."""
     return Trials(*np.array(rows, dtype=np.int64).reshape(-1, 4).T)
@@ -196,6 +199,71 @@ def test_tabulate_rejects_setting_outside_grid():
     assert table.counts.sum() == 2 and table.counts[0, 1, 0, 0] == 1
 
 
+def tabulate_oracle(trials, settings_a=None, settings_b=None):
+    """tabulate as it was before the bincount grid: every grid from
+    np.unique, every position from searchsorted."""
+    sa, sb = trials.setting_a, trials.setting_b
+    grid_a = np.unique(sa if settings_a is None else np.array(settings_a, np.int64))
+    grid_b = np.unique(sb if settings_b is None else np.array(settings_b, np.int64))
+    pos_a, pos_b = np.searchsorted(grid_a, sa), np.searchsorted(grid_b, sb)
+    inside = ((grid_a.take(pos_a, mode="clip") == sa)
+              & (grid_b.take(pos_b, mode="clip") == sb)
+              if grid_a.size and grid_b.size else np.zeros(len(sa), bool))
+    if not inside.all():
+        k = int(np.argmin(inside))
+        raise ValueError(f"trial setting pair {(int(sa[k]), int(sb[k]))} "
+                         "outside the declared grid")
+    cell = (9 * (pos_a * len(grid_b) + pos_b) + 3 * ((trials.a + 2) % 3)
+            + (trials.b + 2) % 3)
+    counts = np.bincount(cell, minlength=9 * len(grid_a) * len(grid_b))
+    return CountTable(tuple(grid_a.tolist()), tuple(grid_b.tolist()),
+                      counts.reshape(len(grid_a), len(grid_b), 3, 3))
+
+
+def table_or_error(*args):
+    try:
+        table = tabulate(*args)
+    except ValueError as err:
+        return str(err)
+    return table.labels_a, table.labels_b, table.counts.tolist()
+
+
+# narrow spans, spans at the bincount limit, and labels near +-2**62
+# and both ends of int64, whose spans are far wider
+labels = st.one_of(st.integers(-3, 3),
+                   st.sampled_from((core.LABEL_SPAN_LIMIT - 1, core.LABEL_SPAN_LIMIT)),
+                   st.integers(2**62 - 2, 2**62 + 2),
+                   st.integers(-2**62 - 2, -2**62 + 2),
+                   st.sampled_from((INT64.min, INT64.min + 1, INT64.max)))
+grids = st.none() | st.lists(labels, max_size=4)
+
+
+@given(st.lists(st.tuples(labels, labels, st.sampled_from(OUTCOMES),
+                          st.sampled_from(OUTCOMES)), max_size=30),
+       grids, grids)
+def test_tabulate_equals_the_sort_and_search_body(rows, grid_a, grid_b):
+    trials = trials_of(*rows)
+    want = table_or_error(trials, grid_a, grid_b)
+    try:
+        oracle = tabulate_oracle(trials, grid_a, grid_b)
+    except ValueError as err:
+        assert want == str(err)
+    else:
+        assert want == (oracle.labels_a, oracle.labels_b, oracle.counts.tolist())
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+def test_outcome_cells_of_all_nine_pairs(dtype):
+    pairs = [(x, y) for x in OUTCOMES for y in OUTCOMES]
+    # pair k appears k + 1 times, so a swapped cell shows in the counts
+    a, b = np.array([p for k, p in enumerate(pairs) for _ in range(k + 1)],
+                    dtype).T
+    cells = core._outcome_cell(a, b)
+    assert cells.tolist() == [3 * OUTCOMES.index(x) + OUTCOMES.index(y)
+                              for x, y in zip(a.tolist(), b.tolist())]
+    assert outcome_counts(a, b).ravel().tolist() == list(range(1, 10))
+
+
 def test_count_table_reads_counts_at_labels_over_runs():
     counts = np.arange(5 * 2 * 1 * 9).reshape(5, 2, 1, 3, 3)
     table = CountTable((0, 3), (2,), counts)
@@ -231,6 +299,15 @@ def test_csv_columns_are_found_by_header_name(tmp_path):
     path.write_text("window_index,setting_label,outcome\n5,1\n")
     with pytest.raises(ValueError):
         read_events(path)
+
+
+def test_read_columns_are_separate_arrays(tmp_path):
+    # an int8 outcome column must not keep the file's int64 block alive
+    path = tmp_path / "events.csv"
+    write_events(path, Events([5, 6, 7], [1, 0, 1], [-1, 1, 0]))
+    read = core.read_columns(path, EVENT_FIELDS)
+    assert [c.tolist() for c in read] == [[5, 6, 7], [1, 0, 1], [-1, 1, 0]]
+    assert all(c.base is None and c.flags.c_contiguous for c in read)
 
 
 EVENT_FILES = {  # the same two events, in each form the reader accepts
@@ -313,7 +390,6 @@ def assert_written_like_csv_writer(events, trials):
             assert all(c.flags.c_contiguous for c in back._columns())
 
 
-INT64 = np.iinfo(np.int64)
 int64s = st.one_of(st.sampled_from([INT64.min, INT64.max, -1, 0]),
                    st.integers(INT64.min, INT64.max))
 
@@ -347,3 +423,14 @@ def test_column_writers_write_the_widest_rows_past_one_chunk():
     a = np.full(n, -1)
     assert_written_like_csv_writer(Events(labels[0], labels[1], a),
                                    Trials(labels[0], labels[1], a, a))
+
+
+def test_column_writers_count_digits_at_every_power_of_ten():
+    # 10**k - 1 and 10**k differ in digit count, on both signs
+    powers = [10**k for k in range(19)]
+    cells = np.array([0, INT64.min, INT64.max]
+                     + [v for p in powers for v in (p - 1, p, 1 - p, -p)])
+    n = len(cells) // 2 * 2
+    a = np.resize([1, -1, 0], n // 2)
+    assert_written_like_csv_writer(Events(cells[:n:2], cells[1:n:2], a),
+                                   Trials(cells[:n:2], cells[1:n:2], a, a))

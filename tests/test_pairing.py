@@ -1,11 +1,15 @@
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from bell_lab import pairing
 from bell_lab.core import NO_COUNT, Events, RngStream, Trials
-from bell_lab.pairing import (UNPAIRED_SETTING, covariance, pair_random,
+from bell_lab.pairing import (UNPAIRED_SETTING, covariance,
+                              pair_counting_unmatched, pair_random,
                               pair_systematic, pair_time_window)
 
 
@@ -252,6 +256,84 @@ def test_trial_rows_count_like_the_columns(rows_a, rows_b, width):
     assert coincident == int(trials.coincident.sum())
     assert unmatched_a == int((trials.setting_b == UNPAIRED_SETTING).sum())
     assert unmatched_b == int((trials.setting_a == UNPAIRED_SETTING).sum())
+
+
+@given(event_rows, event_rows, st.sampled_from((2, 3, 7.25)), st.integers(1, 4))
+def test_window_matching_across_greedy_chunks(rows_a, rows_b, width, chunk):
+    # a small chunk puts chunk boundaries inside short streams
+    want = reference_time_window(rows_a, rows_b, width)
+    with mock.patch.object(pairing, "GREEDY_CHUNK", chunk):
+        trials = pair_time_window(events_of(*rows_a), events_of(*rows_b), width)
+    assert rows(trials) == want
+
+
+def random_streams(n, seed):
+    """Two streams of n events each, windows in random order with
+    repeats, so that the greedy loop carries its position across many
+    chunks."""
+    rng = np.random.default_rng(seed)
+    return [list(zip(rng.permutation(np.cumsum(rng.integers(0, 4, n))).tolist(),
+                     rng.integers(0, 2, n).tolist(),
+                     rng.choice([1, -1, 0], n).tolist())) for _ in "ab"]
+
+
+@pytest.mark.parametrize("width", [2, 7.25])
+def test_window_matching_equals_the_record_merge_past_many_chunks(width):
+    rows_a, rows_b = random_streams(40_000, 11)
+    assert 40_000 > 4 * pairing.GREEDY_CHUNK
+    want = reference_time_window(rows_a, rows_b, width)
+    trials = pair_time_window(events_of(*rows_a), events_of(*rows_b), width)
+    assert rows(trials) == want
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_window_matching_peak_memory_per_event(width):
+    # perfbench's pipeline streams at 2e4 emissions: side A in window
+    # order, side B jittered out of it; the trials alone take 18 bytes
+    # a row, and every copy of a column would add 8 to 25 bytes an event
+    rng = np.random.default_rng(3)
+    n = 22_000
+    window = np.cumsum(rng.integers(1, 4, n))
+    keep_a, keep_b = rng.random(n) >= 0.08, rng.random(n) >= 0.12
+    ea = Events(window[keep_a], rng.integers(0, 2, n)[keep_a],
+                rng.choice([1, -1], n)[keep_a])
+    eb = Events((window + rng.integers(-1, 2, n))[keep_b],
+                rng.integers(0, 2, n)[keep_b], rng.choice([1, -1], n)[keep_b])
+    events = len(ea) + len(eb)
+    assert events > 2 * 19_000
+    pair_time_window(ea, eb, width)
+    tracemalloc.start()
+    try:
+        pair_time_window(ea, eb, width)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * events
+
+
+@given(event_rows, event_rows, st.sampled_from((1, 2, 7.25)))
+def test_pair_counting_unmatched_counts_the_lone_events(rows_a, rows_b, width):
+    ea, eb = events_of(*rows_a), events_of(*rows_b)
+    trials, unmatched_a, unmatched_b = pair_counting_unmatched(
+        lambda x, y: pair_time_window(x, y, width), ea, eb)
+    assert rows(trials) == rows(pair_time_window(ea, eb, width))
+    # every event lands in one trial, a lone one beside an absent partner
+    assert unmatched_a == int((trials.setting_b == UNPAIRED_SETTING).sum())
+    assert unmatched_b == int((trials.setting_a == UNPAIRED_SETTING).sum())
+
+
+def test_pair_counting_unmatched_under_index_pairings():
+    # each event's setting is its index, so the trials name their events
+    ea, eb = label_by_index(5), label_by_index(3)
+    trials, unmatched_a, unmatched_b = pair_counting_unmatched(
+        lambda x, y: pair_systematic(x, y, 2), ea, eb)
+    assert rows(trials) == [(0, 1, 1, 1), (1, 2, 1, 1)]
+    assert (unmatched_a, unmatched_b) == (3, 1)
+    trials, unmatched_a, unmatched_b = pair_counting_unmatched(
+        lambda x, y: pair_random(x, y, 4, RngStream(4).generator()), ea, eb)
+    assert rows(trials) == rows(pair_random(ea, eb, 4, RngStream(4).generator()))
+    assert unmatched_a == 5 - len(set(trials.setting_a.tolist()))
+    assert unmatched_b == 3 - len(set(trials.setting_b.tolist()))
 
 
 def test_window_validation():
