@@ -275,8 +275,8 @@ def _grid(labels: np.ndarray, declared):
 def tabulate(trials: Trials,
              settings_a: Sequence[int] | None = None,
              settings_b: Sequence[int] | None = None) -> CountTable:
-    """The CountTable of trials over the observed (or supplied) setting
-    labels, sorted; its counts sum to the number of trials."""
+    """The CountTable of trials over the sorted setting labels supplied, or
+    else observed (a narrow span by one bincount); its counts sum to len(trials)."""
     sa, sb = trials.setting_a, trials.setting_b
     grid_a, pos_a, inside_a = _grid(sa, settings_a)
     grid_b, pos_b, inside_b = _grid(sb, settings_b)
