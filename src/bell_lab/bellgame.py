@@ -21,7 +21,7 @@ QUANTUM_POINT_PROB = math.cos(math.pi / 8) ** 2
 PROGRAM_IDS = (1, 2, 3, 4)
 
 # _OUTPUTS[i - 1, x]: program i answers 0, 1, x or 1 - x on input bit x
-_OUTPUTS = np.array([[0, 0], [1, 1], [0, 1], [1, 0]], dtype=np.int64)
+_OUTPUTS = np.array([[0, 0], [1, 1], [0, 1], [1, 0]], dtype=np.int8)
 
 
 def program_output(i: int, x: int) -> int:
@@ -68,7 +68,8 @@ class FixedProgramStrategy:
 
     def answers(self, x: np.ndarray, y: np.ndarray,
                 rng: np.random.Generator) -> tuple:
-        return _run(np.full(len(x), self.i), np.full(len(y), self.j), x, y)
+        return _run(np.full(len(x), self.i, np.int8),
+                    np.full(len(y), self.j, np.int8), x, y)
 
 
 class RandomProgramStrategy:
@@ -77,8 +78,8 @@ class RandomProgramStrategy:
 
     def answers(self, x: np.ndarray, y: np.ndarray,
                 rng: np.random.Generator) -> tuple:
-        return _run(rng.integers(1, 5, size=len(x)),
-                    rng.integers(1, 5, size=len(y)), x, y)
+        return _run(rng.integers(1, 5, size=len(x)).astype(np.int8),
+                    rng.integers(1, 5, size=len(y)).astype(np.int8), x, y)
 
 
 class ScriptedStrategy:
@@ -95,7 +96,7 @@ class ScriptedStrategy:
         for i, j, x, y in rows:
             program_output(i, x)
             program_output(j, y)
-        self.script = np.array(rows, dtype=np.int64)
+        self.script = np.array(rows, dtype=np.int8)
 
     def answers(self, x: np.ndarray, y: np.ndarray,
                 rng: np.random.Generator) -> tuple:
@@ -126,7 +127,7 @@ class ContextualProgramStrategy:
         u = rng.random(len(x))
         na = rng.random(len(x))
         nb = rng.random(len(x))
-        i, j = (1 + (4.0 * ((u + self.wobble * n) % 1.0)).astype(np.int64) % 4
+        i, j = (1 + (4.0 * ((u + self.wobble * n) % 1.0)).astype(np.int8) % 4
                 for n in (na, nb))
         return _run(i, j, x, y)
 
@@ -137,20 +138,22 @@ class QuantumStrategy:
     Scores with probability cos^2(pi/8) on every input pair, with
     uniform answer marginals on both sides.  It runs no programs, so i
     and j are None.  Draw order: the side-A answer column, then the
-    success column that fixes side B.
+    success column that fixes side B, as bits XORed on the lose mask.
     """
 
     def answers(self, x: np.ndarray, y: np.ndarray,
                 rng: np.random.Generator) -> tuple:
-        a = rng.integers(0, 2, size=len(x))
-        lose = rng.random(len(x)) >= QUANTUM_POINT_PROB
-        return None, None, a, (x * y - a + lose) % 2
+        a = rng.integers(0, 2, size=len(x)).astype(np.int8)
+        b = (rng.random(len(x)) >= QUANTUM_POINT_PROB).view(np.int8)
+        b ^= a
+        b ^= x & y
+        return None, None, a, b
 
 
 @dataclass(frozen=True, eq=False)
 class GameResult:
-    """One game as columns: inputs x, y; programs i, j (None when the
-    strategy runs none); answers a, b."""
+    """One game as int8 columns: inputs x, y; programs i, j (None when
+    the strategy runs none); answers a, b."""
 
     x: np.ndarray
     y: np.ndarray
@@ -187,6 +190,6 @@ def play_game(strategy, rounds: int, rng: np.random.Generator) -> GameResult:
     if isinstance(strategy, ScriptedStrategy):
         x, y = (np.resize(c, rounds) for c in strategy.script[:, 2:].T)
     else:
-        x = rng.integers(0, 2, size=rounds)
-        y = rng.integers(0, 2, size=rounds)
+        x = rng.integers(0, 2, size=rounds).astype(np.int8)
+        y = rng.integers(0, 2, size=rounds).astype(np.int8)
     return GameResult(x, y, *strategy.answers(x, y, rng))

@@ -135,13 +135,19 @@ def _balls(source, n, stream) -> tuple:
     return results["bell_violation_rate"], results["chsh_violation_rate"]
 
 
+def _scored(strategy, rounds, stream) -> tuple:
+    """(points, avg_score) of one game, whose columns go on return."""
+    game = bellgame.play_game(strategy, rounds, stream.generator())
+    return game.points, game.avg_score
+
+
 def _bellgame(n, stream):
     scores = np.unique(bellgame.counterfactual_table()["score"]).tolist()
     games = ((bellgame.ScriptedStrategy(bellgame.PERFECT_SCRIPT), 4),
              (bellgame.RandomProgramStrategy(), n), (bellgame.QuantumStrategy(), n))
-    script, rnd, qs = (bellgame.play_game(s, rounds, stream.child(k).generator())
+    script, rnd, qs = (_scored(s, rounds, stream.child(k))
                        for k, (s, rounds) in enumerate(games))
-    return scores, script.points, rnd.avg_score, qs.avg_score
+    return scores, script[0], rnd[1], qs[1]
 
 
 def _contextual(n, stream):

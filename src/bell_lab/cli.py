@@ -59,8 +59,11 @@ def _load_config(path: str) -> dict:
 def _atomic_write(path: Path, writer) -> None:
     # whole file appears at once or not at all
     tmp = path.with_name(path.name + ".part")
-    writer(tmp)
-    os.replace(tmp, path)
+    try:
+        writer(tmp)
+        os.replace(tmp, path)
+    finally:  # gone already unless writing or replacing failed
+        tmp.unlink(missing_ok=True)
 
 
 def _json_default(obj):
@@ -90,11 +93,14 @@ def _emit(args, sizes: dict, results: dict, extra_files=()) -> None:
     out = getattr(args, "out", None)
     if out is not None:
         out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _atomic_write(out_dir / "summary.json",
-                      lambda p: p.write_text(text + "\n"))
-        for name, writer in extra_files:
-            _atomic_write(out_dir / name, writer)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            _atomic_write(out_dir / "summary.json",
+                          lambda p: p.write_text(text + "\n"))
+            for name, writer in extra_files:
+                _atomic_write(out_dir / name, writer)
+        except OSError as exc:  # an unusable --out is bad input
+            raise ValueError(f"--out {out}: {exc}") from None
 
 
 def _stream_of(args):
@@ -148,8 +154,9 @@ def cmd_simulate(args) -> int:
         label_a, label_b = args.x, args.y
 
     trials = core.Trials(np.full(n, label_a), np.full(n, label_b), a, b)
-    events_a = core.Events(np.arange(n), trials.setting_a, trials.a)
-    events_b = core.Events(np.arange(n), trials.setting_b, trials.b)
+    window = np.arange(n)  # both stations fire in step
+    events_a = core.Events(window, trials.setting_a, trials.a)
+    events_b = core.Events(window, trials.setting_b, trials.b)
     results = {"correlation": estimators.correlation(core.tabulate(trials)),
                "n_coincident": int(trials.coincident.sum()),
                "mean_a": float(np.mean(a)), "mean_b": float(np.mean(b))}

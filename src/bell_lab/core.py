@@ -400,12 +400,13 @@ def _raise_at_file_line(path, usecols) -> None:
                     raise ValueError(message) from None
 
 
-def read_columns(path, header) -> list:
+def read_columns(path, header, outcomes=()) -> list:
     """One int64 array per column named in header, each its own copy, found
     by name in the file's header line.  A UTF-8 BOM is skipped, LF and CRLF
     line ends both read, blank lines are skipped and a quoted integer reads
     as the integer; a missing or repeated column, a short row or a cell that
-    is not an int64 is a ValueError, which names the file line of a bad row."""
+    is not an int64 is a ValueError, which names the file line of a bad row.
+    A column also named in outcomes is checked and cast straight to int8."""
     with open(path, encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         names = next(reader, [])
@@ -422,7 +423,8 @@ def read_columns(path, header) -> list:
     except ValueError:
         _raise_at_file_line(path, usecols)
         raise
-    return [block[:, j].copy() for j in range(block.shape[1])]
+    return [check_outcomes(column) if name in outcomes else column.copy()
+            for name, column in zip(header, block.T)]
 
 
 def write_events(path, events: Events) -> None:
@@ -430,7 +432,7 @@ def write_events(path, events: Events) -> None:
 
 
 def read_events(path) -> Events:
-    return Events(*read_columns(path, EVENT_FIELDS))
+    return Events(*read_columns(path, EVENT_FIELDS, Events.OUTCOME_COLUMNS))
 
 
 def write_trials(path, trials: Trials) -> None:
@@ -438,4 +440,4 @@ def write_trials(path, trials: Trials) -> None:
 
 
 def read_trials(path) -> Trials:
-    return Trials(*read_columns(path, TRIAL_FIELDS))
+    return Trials(*read_columns(path, TRIAL_FIELDS, Trials.OUTCOME_COLUMNS))

@@ -179,7 +179,9 @@ def covariance(trials: Trials, coincident_only: bool = True) -> float:
     least two usable trials.
     """
     keep = trials.coincident if coincident_only else slice(None)
-    a, b = trials.a[keep].astype(float), trials.b[keep].astype(float)
+    a, b = trials.a[keep], trials.b[keep]
     if len(a) < 2:
         raise ValueError("need at least 2 usable trials for a covariance")
-    return float(np.mean(a * b) - a.mean() * b.mean())
+    # float64 means straight from the int8 columns: every partial sum is
+    # an integer below 2**53, so no summation order rounds one
+    return float(np.mean(a * b, dtype=float) - a.mean() * b.mean())

@@ -51,14 +51,21 @@ def singlet_pairs(theta_a, theta_b, n: int, rng: np.random.Generator):
     the agreement draws for side B.  P(b = -a) = (1 + cos(theta_a -
     theta_b)) / 2.
     """
-    delta = np.subtract(theta_a, theta_b)
+    return _pairs_at(np.subtract(theta_a, theta_b), n, rng)
+
+
+def _pairs_at(delta, n: int, rng: np.random.Generator):
+    """singlet_pairs at analyzer difference delta, a scalar or a fresh
+    array; a float64 array is overwritten with P(b = -a)."""
     if not np.isfinite(delta).all():
         raise ValueError("analyzer angles must be finite")
-    p_anti = (1.0 + np.cos(delta)) / 2.0
+    owned = isinstance(delta, np.ndarray) and delta.dtype == np.float64
+    p_anti = np.cos(delta, out=delta if owned else None)
+    p_anti += 1.0
+    p_anti /= 2.0
     a = rng.choice(np.array([PLUS, MINUS], dtype=np.int8), size=n)
     flip = rng.random(n) < p_anti
-    b = np.where(flip, -a, a).astype(np.int8)
-    return a, b
+    return a, np.where(flip, -a, a)
 
 
 # ---------------------------------------------------------------------------
@@ -88,9 +95,14 @@ class AngleJitter:
 
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if self.half_width == 0.0:
-            return np.full(n, self.center)
+            return np.full(n, self.center, dtype=float)
         if self.weight == "uniform":
-            return self.center + self.half_width * (2.0 * rng.random(n) - 1.0)
+            out = rng.random(n)  # center + half_width * (2 u - 1) in place
+            out *= 2.0
+            out -= 1.0
+            out *= self.half_width
+            out += self.center
+            return out
         out = np.empty(n)
         todo = np.arange(n)
         while todo.size:  # rejection sample the truncation
@@ -108,9 +120,12 @@ def smeared_pairs(jitter_a: AngleJitter, jitter_b: AngleJitter, n: int,
     Draw order: side-A orientations, side-B orientations, then
     singlet_pairs at the realized per-pair angles.  A zero half-width
     draws nothing, so with both half-widths zero the records coincide
-    with singlet_pairs' draw for draw.
+    with singlet_pairs' draw for draw.  Side B's orientations are taken
+    from side A's in place, and the difference becomes P(b = -a) in place.
     """
-    return singlet_pairs(jitter_a.draw(n, rng), jitter_b.draw(n, rng), n, rng)
+    delta = jitter_a.draw(n, rng)
+    delta -= jitter_b.draw(n, rng)
+    return _pairs_at(delta, n, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +348,11 @@ class ContextualParams:
 _SCREEN_CHUNK = 32768
 
 
-def _readings(phi, theta: float, lam) -> np.ndarray:
+def _readings(phi, theta: float, params: ContextualParams,
+              rng: np.random.Generator) -> np.ndarray:
     """int8 outcomes: sign(cos c) if |cos c| >= lam[i], else 0, where
-    c = 2 (phi[i] - theta).
+    c = 2 (phi[i] - theta) and lam = tau0 * u**gamma.  The uniform noise u
+    is drawn from rng a chunk at a time, the values of one whole draw.
 
     Each chunk decides from a float32 cosine and recomputes the float64
     cosine only for trials within tol of either boundary (cos c = 0 or
@@ -351,8 +368,10 @@ def _readings(phi, theta: float, lam) -> np.ndarray:
         hi = lo + _SCREEN_CHUNK
         c = phi[lo:hi] - theta
         c *= 2.0
-        level, sign = lam[lo:hi], out[lo:hi]
-        near = slice(None)
+        level = rng.random(c.size)
+        level **= params.gamma
+        level *= params.tau0
+        sign, near = out[lo:hi], slice(None)
         if tol < 1.0:
             cos32 = np.cos(c.astype(np.float32))
             np.sign(cos32, out=sign, casting="unsafe")
@@ -373,9 +392,9 @@ def contextual_batch(x: int, y: int, n: int, params: ContextualParams,
     """n trials at setting labels (x, y); returns (a, b) int8 arrays.
 
     Draw order per batch: source phases phi, side-A instrument noise,
-    side-B instrument noise.  The side-A record is a function of
-    (phi, lambda_a, x) alone, so replaying the stream with a different y
-    reproduces it bit for bit.
+    side-B instrument noise, each drawn a chunk at a time (_readings).
+    The side-A record is a function of (phi, lambda_a, x) alone, so
+    replaying the stream with a different y reproduces it bit for bit.
 
     Each reading cos 2(phi - theta) is screened in float32 (_readings):
     only trials whose float32 cosine lies within its error bound of a
@@ -392,13 +411,11 @@ def contextual_batch(x: int, y: int, n: int, params: ContextualParams,
         raise ValueError(f"setting labels ({x}, {y}) have no analyzer angle")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    phi = rng.random(n) * 2.0
+    phi = rng.random(n)
+    phi *= 2.0
     phi *= np.pi
-    out = []
-    for theta in (params.angles_a[x], params.angles_b[y]):
-        lam = rng.random(n)  # side A's noise, then side B's
-        lam **= params.gamma
-        lam *= params.tau0
-        out.append(_readings(phi, theta, lam))
-    out[1] *= -1  # side B reports the opposite sign
-    return tuple(out)
+    # side A's noise, then side B's
+    a, b = (_readings(phi, theta, params, rng)
+            for theta in (params.angles_a[x], params.angles_b[y]))
+    b *= -1  # side B reports the opposite sign
+    return a, b

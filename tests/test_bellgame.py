@@ -1,7 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bell_lab.bellgame import (INPUT_PAIRS, PERFECT_SCRIPT, PROGRAM_IDS,
                                QUANTUM_POINT_PROB, ContextualProgramStrategy,
@@ -9,7 +11,10 @@ from bell_lab.bellgame import (INPUT_PAIRS, PERFECT_SCRIPT, PROGRAM_IDS,
                                QuantumStrategy, RandomProgramStrategy,
                                ScriptedStrategy, counterfactual_table,
                                is_point, play_game, program_output)
+from bell_lab import bellgame
+from bell_lab.cli import main
 from bell_lab.core import RngStream
+from peak_memory import peak_bytes_per_item
 
 
 def rng(seed=0):
@@ -173,3 +178,106 @@ def test_game_deterministic_under_stream():
         for name in ("x", "y", "i", "j", "a", "b"):
             c1, c2 = getattr(r1, name), getattr(r2, name)
             assert (c1 is c2 is None) or np.array_equal(c1, c2), name
+
+
+# ---------------------------------------------------------------------------
+# int8 columns against the int64 bodies
+
+OUTPUTS_INT64 = np.array([[0, 0], [1, 1], [0, 1], [1, 0]], dtype=np.int64)
+
+
+def run_int64(i, j, x, y):
+    return i, j, OUTPUTS_INT64[i - 1, x], OUTPUTS_INT64[j - 1, y]
+
+
+def answers_int64(strategy, x, y, rng):
+    """Each strategy's answers through int64 columns: the oracle of the
+    int8 ones."""
+    if isinstance(strategy, FixedProgramStrategy):
+        return run_int64(np.full(len(x), strategy.i),
+                         np.full(len(y), strategy.j), x, y)
+    if isinstance(strategy, RandomProgramStrategy):
+        return run_int64(rng.integers(1, 5, size=len(x)),
+                         rng.integers(1, 5, size=len(y)), x, y)
+    if isinstance(strategy, ScriptedStrategy):
+        i, j = (np.resize(c, len(x))
+                for c in strategy.script.astype(np.int64)[:, :2].T)
+        return run_int64(i, j, x, y)
+    if isinstance(strategy, ContextualProgramStrategy):
+        u = rng.random(len(x))
+        na = rng.random(len(x))
+        nb = rng.random(len(x))
+        i, j = (1 + (4.0 * ((u + strategy.wobble * n) % 1.0)).astype(np.int64) % 4
+                for n in (na, nb))
+        return run_int64(i, j, x, y)
+    a = rng.integers(0, 2, size=len(x))
+    lose = rng.random(len(x)) >= QUANTUM_POINT_PROB
+    return None, None, a, (x * y - a + lose) % 2
+
+
+def play_game_int64(strategy, rounds, rng):
+    """play_game with int64 columns throughout."""
+    if rounds < 0:
+        raise ValueError("rounds must be >= 0")
+    if isinstance(strategy, ScriptedStrategy):
+        x, y = (np.resize(c, rounds)
+                for c in strategy.script.astype(np.int64)[:, 2:].T)
+    else:
+        x = rng.integers(0, 2, size=rounds)
+        y = rng.integers(0, 2, size=rounds)
+    return GameResult(x, y, *answers_int64(strategy, x, y, rng))
+
+
+SCRIPT_ROWS = st.tuples(st.sampled_from(PROGRAM_IDS), st.sampled_from(PROGRAM_IDS),
+                        st.integers(0, 1), st.integers(0, 1))
+STRATEGIES = st.one_of(
+    st.builds(FixedProgramStrategy, st.sampled_from(PROGRAM_IDS),
+              st.sampled_from(PROGRAM_IDS)),
+    st.builds(RandomProgramStrategy),
+    st.builds(ScriptedStrategy, st.lists(SCRIPT_ROWS, min_size=1, max_size=6)),
+    st.builds(ContextualProgramStrategy, st.floats(0.0, 1.0)),
+    st.builds(QuantumStrategy))
+
+
+@settings(max_examples=150, deadline=None)
+@given(strategy=STRATEGIES, seed=st.integers(0, 2**32),
+       rounds=st.one_of(st.integers(0, 9), st.just(20_000)))
+def test_int8_games_equal_the_int64_ones(strategy, seed, rounds):
+    r_got, r_want = rng(seed), rng(seed)
+    got = play_game(strategy, rounds, r_got)
+    want = play_game_int64(strategy, rounds, r_want)
+    for name in ("x", "y", "i", "j", "a", "b"):
+        g, w = getattr(got, name), getattr(want, name)
+        if w is None:
+            assert g is None, name
+        else:
+            assert g.dtype == np.int8 and g.tolist() == w.tolist(), name
+    assert got.point.tolist() == want.point.tolist()
+    assert got.points == want.points
+    if rounds:
+        assert got.avg_score == want.avg_score
+    assert r_got.bit_generator.state == r_want.bit_generator.state
+
+
+@pytest.mark.parametrize("argv", [
+    ["--strategy", "fixed", "--i", "3", "--j", "4"], ["--strategy", "random"],
+    ["--strategy", "scripted"], ["--strategy", "contextual", "--wobble", "0.4"],
+    ["--strategy", "quantum"]])
+def test_rounds_csv_bytes_equal_the_int64_ones(capsys, tmp_path, argv):
+    argv = ["bellgame", *argv, "--rounds", "3001", "--seed", "9"]
+    assert main([*argv, "--out", str(tmp_path / "int8")]) == 0
+    with mock.patch.object(bellgame, "play_game", play_game_int64):
+        assert main([*argv, "--out", str(tmp_path / "int64")]) == 0
+    capsys.readouterr()
+    for name in ("rounds.csv", "summary.json"):
+        assert ((tmp_path / "int8" / name).read_bytes()
+                == (tmp_path / "int64" / name).read_bytes())
+
+
+@pytest.mark.parametrize("strategy", [RandomProgramStrategy(), QuantumStrategy()])
+def test_game_peak_memory_per_round(strategy):
+    # six int8 columns and int8 or bool temporaries a round, plus one
+    # int64 or float64 draw while it is cast; the int64 game took 56
+    # (random) and 41 (quantum) bytes a round
+    n = 200_000
+    assert peak_bytes_per_item(lambda: play_game(strategy, n, rng(5)), n) <= 24

@@ -495,6 +495,20 @@ def assert_one_line_error(capsys, argv, needle="error:"):
     assert needle in err
 
 
+@pytest.mark.parametrize("case", ["out-is-a-file", "out-through-a-file",
+                                  "trials-is-a-directory"])
+def test_an_unusable_out_exits_2_and_names_it(capsys, tmp_path, case):
+    (tmp_path / "afile").write_text("")
+    out = {"out-is-a-file": tmp_path / "afile",
+           "out-through-a-file": tmp_path / "afile" / "sub",
+           "trials-is-a-directory": tmp_path / "half"}[case]
+    if case == "trials-is-a-directory":
+        (out / "trials.csv").mkdir(parents=True)
+    argv = ["simulate", "--model", "singlet", "--n", "20", "--out", str(out)]
+    assert_one_line_error(capsys, argv, needle=f"--out {out}: ")
+    assert not list(tmp_path.rglob("*.part"))
+
+
 @pytest.mark.parametrize("case", sorted(EVENT_CSV))
 def test_pair_rejects_malformed_events(capsys, tmp_path, case):
     bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"

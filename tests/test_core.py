@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bell_lab import core
+from peak_memory import peak_bytes_per_item
 from bell_lab.core import (EVENT_FIELDS, OUTCOMES, TRIAL_FIELDS, CountTable,
                            Events, PairedTrial, RngStream, Trials, check_outcomes,
                            outcome_counts, read_events, read_trials, tabulate,
@@ -303,6 +304,29 @@ def test_read_columns_are_separate_arrays(tmp_path):
     read = core.read_columns(path, EVENT_FIELDS)
     assert [c.tolist() for c in read] == [[5, 6, 7], [1, 0, 1], [-1, 1, 0]]
     assert all(c.base is None and c.flags.c_contiguous for c in read)
+    # the stores' readers cast each outcome column to int8 off the block
+    trials = tmp_path / "trials.csv"
+    write_trials(trials, Trials([0, 1], [1, 0], [1, 0], [-1, -1]))
+    for store in (read_events(path), read_trials(trials)):
+        for f in fields(store):
+            c = getattr(store, f.name)
+            assert c.base is None and c.flags.c_contiguous, f.name
+            assert c.dtype == (np.int8 if f.name in store.OUTCOME_COLUMNS
+                               else np.int64), f.name
+    assert [c.dtype for c in core.read_columns(path, EVENT_FIELDS, ("outcome",))
+            ] == [np.int64, np.int64, np.int8]
+
+
+def test_read_trials_peak_memory_per_row(tmp_path):
+    # the parsed int64 block (32 bytes a row), the two int64 setting
+    # columns (16) and the two int8 outcome columns (2): 50 bytes; an
+    # int64 copy of each outcome column on the way took 64
+    n = 100_000
+    r = np.random.default_rng(2)
+    path = tmp_path / "trials.csv"
+    write_trials(path, Trials(r.integers(0, 2, n), r.integers(0, 2, n),
+                              r.integers(-1, 2, n), r.integers(-1, 2, n)))
+    assert peak_bytes_per_item(lambda: read_trials(path), n) <= 56
 
 
 EVENT_FILES = {  # the same two events, in each form the reader accepts

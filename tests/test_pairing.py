@@ -1,4 +1,3 @@
-import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -11,6 +10,7 @@ from bell_lab.core import NO_COUNT, Events, RngStream, Trials
 from bell_lab.pairing import (UNPAIRED_SETTING, covariance,
                               pair_counting_unmatched, pair_random,
                               pair_systematic, pair_time_window)
+from peak_memory import peak_bytes_per_item
 
 
 def events_of(*rows):
@@ -301,14 +301,8 @@ def test_window_matching_peak_memory_per_event(width):
                 rng.integers(0, 2, n)[keep_b], rng.choice([1, -1], n)[keep_b])
     events = len(ea) + len(eb)
     assert events > 2 * 19_000
-    pair_time_window(ea, eb, width)
-    tracemalloc.start()
-    try:
-        pair_time_window(ea, eb, width)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * events
+    assert peak_bytes_per_item(lambda: pair_time_window(ea, eb, width),
+                               events) < 64
 
 
 @given(event_rows, event_rows, st.sampled_from((1, 2, 7.25)))
@@ -360,3 +354,36 @@ def test_covariance_needs_two_usable_trials():
         covariance(trials_of((0, 0, 1, 1)))
     with pytest.raises(ValueError):
         covariance(trials_of((0, 0, 0, 1), (0, 0, 0, -1)))
+
+
+def covariance_float64(trials, coincident_only=True):
+    """covariance through float64 copies of the outcome columns: the
+    oracle of its int8 means."""
+    keep = trials.coincident if coincident_only else slice(None)
+    a, b = trials.a[keep].astype(float), trials.b[keep].astype(float)
+    if len(a) < 2:
+        raise ValueError("need at least 2 usable trials for a covariance")
+    return float(np.mean(a * b) - a.mean() * b.mean())
+
+
+def outcome_column(r, n, p_zero, p_plus):
+    return np.where(r.random(n) < p_zero, 0,
+                    np.where(r.random(n) < p_plus, 1, -1)).astype(np.int8)
+
+
+@given(seed=st.integers(0, 2**32),
+       n=st.one_of(st.integers(0, 6), st.integers(8000, 40_000)),
+       p_zero=st.sampled_from([0.0, 0.3, 0.99]), p_plus=st.floats(0.0, 1.0),
+       coincident_only=st.booleans())
+def test_covariance_equals_the_float64_body(seed, n, p_zero, p_plus,
+                                            coincident_only):
+    r = np.random.default_rng(seed)
+    a, b = (outcome_column(r, n, p_zero, p_plus) for _ in range(2))
+    trials = Trials(np.zeros(n, np.int64), np.zeros(n, np.int64), a, b)
+    try:
+        want = covariance_float64(trials, coincident_only)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=str(err)):
+            covariance(trials, coincident_only)
+        return
+    assert covariance(trials, coincident_only) == want

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from bell_lab.core import RngStream
+from peak_memory import peak_bytes_per_item
 from bell_lab.sources import (ATOMS, AngleJitter, BallVariant, ContextualParams,
                               InstructionDist, Spreadsheet4, cfd_sheet_sums,
                               contextual_batch, generate_cfd_spreadsheet,
@@ -126,6 +127,71 @@ def test_jitter_draws_respect_bounds():
         draws = j.draw(2000, rng(4))
         assert np.all(np.abs(draws - 1.0) <= 0.25)
     assert np.array_equal(AngleJitter(2.0).draw(5, rng()), np.full(5, 2.0))
+
+
+def jitter_draw_whole(jitter, n, rng):
+    """AngleJitter.draw built from whole-column temporaries: the oracle of
+    its in-place uniform draw."""
+    if jitter.half_width == 0.0:
+        return np.full(n, jitter.center)
+    if jitter.weight == "uniform":
+        return jitter.center + jitter.half_width * (2.0 * rng.random(n) - 1.0)
+    out = np.empty(n)
+    todo = np.arange(n)
+    while todo.size:
+        cand = rng.normal(0.0, jitter.half_width / 2.0, todo.size)
+        ok = np.abs(cand) <= jitter.half_width
+        out[todo[ok]] = jitter.center + cand[ok]
+        todo = todo[~ok]
+    return out
+
+
+def smeared_pairs_whole(jitter_a, jitter_b, n, rng):
+    """smeared_pairs through whole-column temporaries: the oracle of its
+    in-place flip probability."""
+    delta = np.subtract(jitter_draw_whole(jitter_a, n, rng),
+                        jitter_draw_whole(jitter_b, n, rng))
+    p_anti = (1.0 + np.cos(delta)) / 2.0
+    a = rng.choice(np.array([1, -1], dtype=np.int8), size=n)
+    flip = rng.random(n) < p_anti
+    return a, np.where(flip, -a, a).astype(np.int8)
+
+
+JITTERS = st.builds(AngleJitter, st.floats(-10.0, 10.0),
+                    st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+                    st.sampled_from(("uniform", "truncated_gaussian")))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), jitter_a=JITTERS, jitter_b=JITTERS,
+       n=st.one_of(st.integers(0, 3), st.just(50_000)))
+def test_smeared_pairs_are_bitwise_the_whole_column_ones(seed, jitter_a,
+                                                         jitter_b, n):
+    r_got, r_want = rng(seed), rng(seed)
+    assert (jitter_a.draw(n, r_got).tobytes()
+            == jitter_draw_whole(jitter_a, n, r_want).tobytes())
+    got = smeared_pairs(jitter_a, jitter_b, n, r_got)
+    want = smeared_pairs_whole(jitter_a, jitter_b, n, r_want)
+    for g, w in zip(got, want):
+        assert g.dtype == np.int8 and g.tobytes() == w.tobytes()
+    assert r_got.bit_generator.state == r_want.bit_generator.state
+
+
+def test_singlet_pairs_leave_the_callers_angles_alone():
+    theta_a, theta_b = rng(1).random(100), rng(2).random(100)
+    kept = theta_a.copy(), theta_b.copy()
+    singlet_pairs(theta_a, theta_b, 100, rng())
+    assert np.array_equal(theta_a, kept[0]) and np.array_equal(theta_b, kept[1])
+
+
+def test_smeared_pairs_peak_memory_per_pair():
+    # the two int8 outcome columns and one float64 angle column a pair,
+    # plus one float64 draw while it is consumed: 18 bytes; the parent
+    # code, with a column per step, takes 42
+    n = 200_000
+    jitter = AngleJitter(0.0, math.pi / 8)
+    assert peak_bytes_per_item(
+        lambda: smeared_pairs(jitter, jitter, n, rng(5)), n) <= 28
 
 
 def test_jitter_validation():
@@ -409,10 +475,12 @@ def test_screened_contextual_batch_is_bitwise_the_float64_one(
     if boundary and n:
         params = ContextualParams(gamma, boundary_tau0(
             seed, n, params, x, trial % n, nudge), angles[:2], angles[2:])
-    got = contextual_batch(x, y, n, params, rng(seed))
-    want = contextual_batch_float64(x, y, n, params, rng(seed))
+    r_got, r_want = rng(seed), rng(seed)
+    got = contextual_batch(x, y, n, params, r_got)
+    want = contextual_batch_float64(x, y, n, params, r_want)
     for g, w in zip(got, want):
         assert g.dtype == np.int8 and np.array_equal(g, w)
+    assert r_got.bit_generator.state == r_want.bit_generator.state
 
 
 def test_threshold_on_the_reading_itself_decides_as_float64():
@@ -427,6 +495,15 @@ def test_threshold_on_the_reading_itself_decides_as_float64():
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         fired.add(bool(got[0][0]))
     assert fired == {True, False}
+
+
+def test_contextual_batch_peak_memory_per_trial():
+    # the float64 phases and two int8 outcome columns a trial, plus one
+    # screening chunk; the parent code held a side's whole noise, 25 bytes
+    n = 250_000
+    params = ContextualParams()
+    assert peak_bytes_per_item(
+        lambda: contextual_batch(0, 1, n, params, rng(5)), n) <= 20
 
 
 @pytest.mark.parametrize("scale", [1.0, 10.0, 1e3, 1e5, 1e6, 8e6])
