@@ -277,7 +277,7 @@ def test_rounds_csv_bytes_equal_the_int64_ones(capsys, tmp_path, argv):
 @pytest.mark.parametrize("strategy", [RandomProgramStrategy(), QuantumStrategy()])
 def test_game_peak_memory_per_round(strategy):
     # six int8 columns and int8 or bool temporaries a round, plus one
-    # int64 or float64 draw while it is cast; the int64 game took 56
-    # (random) and 41 (quantum) bytes a round
+    # int64 or float64 draw while it is cast: 12 bytes; int64 columns
+    # take 56 (random) and 41 (quantum)
     n = 200_000
     assert peak_bytes_per_item(lambda: play_game(strategy, n, rng(5)), n) <= 24

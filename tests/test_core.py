@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bell_lab import core
-from peak_memory import peak_bytes_per_item
 from bell_lab.core import (EVENT_FIELDS, OUTCOMES, TRIAL_FIELDS, CountTable,
                            Events, PairedTrial, RngStream, Trials, check_outcomes,
                            outcome_counts, read_events, read_trials, tabulate,
                            write_events, write_trials)
+from peak_memory import peak_bytes_per_item
 
 
 INT64 = np.iinfo(np.int64)
@@ -320,7 +320,7 @@ def test_read_columns_are_separate_arrays(tmp_path):
 def test_read_trials_peak_memory_per_row(tmp_path):
     # the parsed int64 block (32 bytes a row), the two int64 setting
     # columns (16) and the two int8 outcome columns (2): 50 bytes; an
-    # int64 copy of each outcome column on the way took 64
+    # int64 copy of each outcome column on the way takes 64
     n = 100_000
     r = np.random.default_rng(2)
     path = tmp_path / "trials.csv"

@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from bell_lab.core import RngStream
-from peak_memory import peak_bytes_per_item
 from bell_lab.sources import (ATOMS, AngleJitter, BallVariant, ContextualParams,
                               InstructionDist, Spreadsheet4, cfd_sheet_sums,
                               contextual_batch, generate_cfd_spreadsheet,
                               generate_tennis_balls, missing_pairs,
                               partial_anticorr, row_combination, singlet_pairs,
                               singlet_prob, smeared_pairs, strict)
+from peak_memory import peak_bytes_per_item
 
 # value of -(sin(w)/w)^2 at w = pi/8: the aligned-analyzer correlation
 # under uniform orientation jitter of half-width w on both sides,
@@ -186,8 +186,8 @@ def test_singlet_pairs_leave_the_callers_angles_alone():
 
 def test_smeared_pairs_peak_memory_per_pair():
     # the two int8 outcome columns and one float64 angle column a pair,
-    # plus one float64 draw while it is consumed: 18 bytes; the parent
-    # code, with a column per step, takes 42
+    # plus one float64 draw while it is consumed: 18 bytes; a new column
+    # for each arithmetic step takes 42
     n = 200_000
     jitter = AngleJitter(0.0, math.pi / 8)
     assert peak_bytes_per_item(
@@ -499,7 +499,7 @@ def test_threshold_on_the_reading_itself_decides_as_float64():
 
 def test_contextual_batch_peak_memory_per_trial():
     # the float64 phases and two int8 outcome columns a trial, plus one
-    # screening chunk; the parent code held a side's whole noise, 25 bytes
+    # screening chunk: 15 bytes; holding a side's whole noise takes 25
     n = 250_000
     params = ContextualParams()
     assert peak_bytes_per_item(
